@@ -10,7 +10,7 @@
 //!   (narrowed to the enclosing type's own method for `self.foo(…)`);
 //! * `Type::foo(…)` resolves to `Type`'s method when the type is known
 //!   to the workspace, and to free functions when `Type` is actually a
-//!   module path (`stroll::bb_sweep(…)`);
+//!   module path (`warm::dp_placement_warm(…)`);
 //! * `map(foo)` / `fold(z, Type::foo)` value references resolve the same
 //!   way, so function-pointer plumbing doesn't hide edges;
 //! * ties between same-named definitions prefer the caller's file, then
@@ -45,8 +45,7 @@ fn crate_of(file: &str) -> &str {
 /// entrypoints whose panic-freedom the paper's guarantees (bit-identical
 /// B&B, crash-safe resume, chaos survival) depend on.
 pub fn is_entrypoint(name: &str) -> bool {
-    name == "bb_sweep"
-        || name.starts_with("optimal_")
+    name.starts_with("optimal_")
         || name == "run_day"
         || name == "resume_day"
         || name == "run_chaos_trial"
@@ -220,7 +219,7 @@ impl CallGraph {
                 Vec::new()
             } else {
                 // Unknown qualifier — most often a module path
-                // (`stroll::bb_sweep(…)`): fall back to free fns.
+                // (`warm::dp_placement_warm(…)`): fall back to free fns.
                 free_fns()
             }
         };
@@ -410,7 +409,10 @@ impl Other {
     #[test]
     fn module_qualified_calls_fall_back_to_free_fns() {
         let g = graph(&[
-            ("a.rs", "pub fn bb_sweep() { stroll::inner_solve(); }"),
+            (
+                "a.rs",
+                "pub fn dp_placement_warm() { stroll::inner_solve(); }",
+            ),
             ("b.rs", "pub fn inner_solve() { todo!() }"),
         ]);
         assert_eq!(panic_reachability(&g).len(), 1);

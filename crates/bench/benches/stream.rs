@@ -19,10 +19,10 @@
 //! no pristine clone of the million-flow store is paid inside the timer.
 //!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
-//! warm-started re-solve ([`dp_placement_warm`] with a persistent
-//! [`BoundCache`] and the previous optimum as incumbent) against the cold
-//! [`dp_placement_with_agg`] the engine would otherwise pay, over the same
-//! three churn localities. Aggregates are prebuilt outside the timer and
+//! warm re-solve ([`dp_placement_warm`] on a reused [`BoundCache`] session
+//! with the previous optimum as incumbent) against the cold
+//! [`dp_placement_with_agg`] — the same sweep on a fresh session, which is
+//! what "cold" means here — over the same three churn localities. Aggregates are prebuilt outside the timer and
 //! alternate base ↔ churned between iterations, so the measured unit is
 //! exactly the post-ingest re-solve latency.
 //!
@@ -31,9 +31,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_model::{Sfc, Workload};
-use ppdc_placement::{
-    dp_placement_warm, dp_placement_with_agg, AttachAggregates, BoundCache, HostMassDelta,
-};
+use ppdc_placement::{dp_placement_warm, dp_placement_with_agg, AttachAggregates, BoundCache};
 use ppdc_sim::{RateDelta, ShardedFlowStore};
 use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
 use std::time::Duration;
@@ -157,13 +155,13 @@ fn bench_stream_ingest(c: &mut Criterion) {
 
 /// Warm vs cold epoch re-solve latency on the k = 32 fabric.
 ///
-/// `cold` is one full Algorithm 3 sweep over prebuilt aggregates — what
-/// every epoch paid before the warm-start layer. Each `warm_<case>` id
-/// alternates between a base and a churned aggregate twin (both prebuilt,
-/// the churn folded once outside the timer), reports the movement through
-/// [`BoundCache::note_mass_deltas`], and re-solves seeded with the
-/// previous optimum — exactly the streaming engine's per-epoch solver
-/// path, with the ingest fold excluded so the two sides are comparable.
+/// `cold` is one Algorithm 3 solve on a fresh session over prebuilt
+/// aggregates: closure, bounds and interior memo all built inside the
+/// timer. Each `warm_<case>` id alternates between a base and a churned
+/// aggregate twin (both prebuilt, the churn folded once outside the
+/// timer) and re-solves on one reused session seeded with the previous
+/// optimum — exactly the streaming engine's per-epoch solver path, with
+/// the ingest fold excluded so the two sides are comparable.
 fn bench_stream_resolve(c: &mut Criterion) {
     if !enabled("stream_resolve") {
         return;
@@ -184,11 +182,6 @@ fn bench_stream_resolve(c: &mut Criterion) {
         b.iter(|| dp_placement_with_agg(g, &oracle, &w, &sfc, &base).unwrap())
     });
 
-    let touch = [HostMassDelta {
-        host: g.hosts().next().expect("fat-tree has hosts"),
-        d_in: 0,
-        d_out: 0,
-    }];
     for (name, batch) in &cases {
         let mut store = ShardedFlowStore::build(g, &w).unwrap();
         let mut churned = AttachAggregates::build(g, &oracle, &w);
@@ -207,7 +200,6 @@ fn bench_stream_resolve(c: &mut Criterion) {
                 b.iter(|| {
                     let agg = if flip { &base } else { &churned };
                     flip = !flip;
-                    cache.note_mass_deltas(&touch);
                     let (p, cost) =
                         dp_placement_warm(g, &oracle, &w, &sfc, agg, &mut cache, Some(&prev))
                             .unwrap();

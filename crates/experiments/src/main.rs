@@ -463,9 +463,11 @@ fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
 /// config, so the quiet hours prove verbatim bound-row reuse
 /// (`solver.warm.rows_reused > 0`) and the churned hours prove incumbent
 /// seeding and bound-order skipping. The warm wall-clock check excludes
-/// the single worst `solver.warm` observation — deterministically the
-/// hour-0 bootstrap, which pays the full cold solve into the cache — and
-/// budgets the mean of the rest at `warm_budget_ms`.
+/// the single worst `solver.dp_placement` observation — deterministically
+/// the hour-0 bootstrap, which pays the full fresh-session solve into the
+/// cache — and budgets the mean of the rest at `warm_budget_ms`. Only the
+/// stream day's own solves run in this process, so the span holds exactly
+/// those.
 fn stream_churn_smoke(n_flows: usize, budget_ms: u64, warm_budget_ms: u64) -> Result<(), CliError> {
     use ppdc_model::{Sfc, Workload};
     use ppdc_sim::{run_stream_day, StreamConfig};
@@ -538,7 +540,7 @@ fn stream_churn_smoke(n_flows: usize, budget_ms: u64, warm_budget_ms: u64) -> Re
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     let snap = obs.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let warm = snap.spans.get(ppdc_obs::names::SOLVER_WARM).copied();
+    let warm = snap.spans.get(ppdc_obs::names::SOLVER_DP).copied();
     let (warm_count, warm_mean_ms) = warm
         .filter(|s| s.count > 1)
         .map(|s| {

@@ -22,7 +22,6 @@ pub const REQUIRED_SPANS: &[&str] = &[
     names::SIM_DEGRADED_REBUILD,
     names::SIM_REPAIR,
     names::STREAM_INGEST,
-    names::SOLVER_WARM,
 ];
 
 /// Counter keys every observed run must carry.

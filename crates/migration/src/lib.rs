@@ -12,7 +12,10 @@
 //!   path toward `p'`, and pick the cheapest *parallel migration frontier*
 //!   (Definition 2). The frontier points sweep a Pareto front between
 //!   `C_b` and `C_a` ([`frontier`] exposes it, plus the convexity test of
-//!   Theorem 5).
+//!   Theorem 5). [`mpareto_with_agg`] runs the inner Algorithm 3 on a
+//!   caller-held solver session ([`ppdc_placement::BoundCache`]) seeded
+//!   with `p`, which is how the hourly engines reuse one session all day;
+//!   [`mpareto`] uses a fresh session per call. Both are bit-identical.
 //! * [`optimal_migration`] — **Optimal** (Algorithm 6): exact
 //!   branch-and-bound over all migrations, with the mPareto result as the
 //!   incumbent.
@@ -39,7 +42,7 @@ pub use frontier::{
     is_convex, migration_paths, parallel_frontiers, parallel_frontiers_with_agg, pareto_front,
     try_migration_paths, FrontierPoint,
 };
-pub use mpareto::{mpareto, mpareto_with_agg, mpareto_with_closure, MigrationOutcome};
+pub use mpareto::{mpareto, mpareto_with_agg, MigrationOutcome};
 pub use optimal::{
     optimal_migration, optimal_migration_with_agg, optimal_migration_with_budget,
     optimal_migration_with_deadline,

@@ -3,7 +3,7 @@
 use crate::frontier::{parallel_frontiers_with_agg, try_migration_paths, FrontierPoint};
 use crate::MigrationError;
 use ppdc_model::{MigrationCoefficient, Placement, Sfc, Workload};
-use ppdc_placement::{dp_placement_with_agg, AttachAggregates};
+use ppdc_placement::{dp_placement_warm, AttachAggregates, BoundCache};
 use ppdc_topology::{Cost, DistanceOracle, Graph};
 
 /// Result of a TOM solve (mPareto or Optimal).
@@ -62,17 +62,21 @@ pub fn mpareto<D: DistanceOracle + ?Sized>(
     mu: MigrationCoefficient,
 ) -> Result<MigrationOutcome, MigrationError> {
     let agg = AttachAggregates::build(g, dm, w);
-    mpareto_with_agg(g, dm, w, sfc, p, mu, &agg)
+    mpareto_with_agg(g, dm, w, sfc, p, mu, &agg, &mut BoundCache::new())
 }
 
-/// [`mpareto`] against caller-supplied attach-cost aggregates: the hourly
-/// TOM loop maintains one [`AttachAggregates`] incrementally across epochs
-/// and runs both the inner Algorithm 3 and the frontier sweep through it,
-/// never rebuilding per-flow sums. `agg` must describe `w` on `g`/`dm`.
+/// [`mpareto`] against caller-supplied attach-cost aggregates and solver
+/// session: the hourly TOM loop maintains one [`AttachAggregates`]
+/// incrementally across epochs and holds one [`BoundCache`] for the day,
+/// so the inner Algorithm 3 reuses the session's closure, bounds and
+/// interior memo, seeded with the current placement `p`. `agg` must
+/// describe `w` on `g`/`dm`, and `cache` must have been invalidated since
+/// `dm` last changed. The result is bit-identical to [`mpareto`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`mpareto`].
+#[allow(clippy::too_many_arguments)]
 pub fn mpareto_with_agg<D: DistanceOracle + ?Sized>(
     g: &Graph,
     dm: &D,
@@ -81,49 +85,10 @@ pub fn mpareto_with_agg<D: DistanceOracle + ?Sized>(
     p: &Placement,
     mu: MigrationCoefficient,
     agg: &AttachAggregates,
-) -> Result<MigrationOutcome, MigrationError> {
-    mpareto_inner(g, dm, w, sfc, p, mu, agg, None)
-}
-
-/// [`mpareto_with_agg`] against a caller-cached metric closure over `agg`'s
-/// candidate switches (see
-/// [`ppdc_placement::dp_placement_with_closure`]): the simulators hold one
-/// [`ppdc_topology::CachedClosure`] per day segment so the inner
-/// Algorithm 3 call skips even the closure refill.
-///
-/// # Errors
-///
-/// Same conditions as [`mpareto`].
-#[allow(clippy::too_many_arguments)]
-pub fn mpareto_with_closure<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    agg: &AttachAggregates,
-    closure: &ppdc_topology::MetricClosure,
-) -> Result<MigrationOutcome, MigrationError> {
-    mpareto_inner(g, dm, w, sfc, p, mu, agg, Some(closure))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mpareto_inner<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    agg: &AttachAggregates,
-    closure: Option<&ppdc_topology::MetricClosure>,
+    cache: &mut BoundCache,
 ) -> Result<MigrationOutcome, MigrationError> {
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_MPARETO);
-    let (p_new, _) = match closure {
-        Some(c) => ppdc_placement::dp_placement_with_closure(g, dm, w, sfc, agg, c)?,
-        None => dp_placement_with_agg(g, dm, w, sfc, agg)?,
-    };
+    let (p_new, _) = dp_placement_warm(g, dm, w, sfc, agg, cache, Some(p))?;
     // On a healthy fabric every path exists; on a degraded one the epoch
     // loop keeps p and the candidate set inside one serving component, so
     // an Unreachable error here means the caller skipped placement repair.

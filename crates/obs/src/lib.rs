@@ -68,7 +68,8 @@ pub mod names {
     pub const AGG_APPLY_DELTAS: &str = "agg.apply_rate_deltas";
     /// How many individual rate deltas the incremental folds consumed.
     pub const AGG_DELTAS_APPLIED: &str = "agg.rate_deltas_applied";
-    /// Algorithm 3 (DP placement).
+    /// One Algorithm 3 (DP placement) solve, recorded once per solve
+    /// whether the session is fresh or reused (`dp_placement_warm`).
     pub const SOLVER_DP: &str = "solver.dp_placement";
     /// Algorithm 4 (exact placement branch-and-bound).
     pub const SOLVER_OPTIMAL_PLACEMENT: &str = "solver.optimal_placement";
@@ -137,9 +138,6 @@ pub mod names {
     /// threshold, or the admissible-bound staleness certificate cleared
     /// it. Pairs with [`STREAM_DRIFT`].
     pub const STREAM_RESOLVES_SKIPPED: &str = "stream.resolves_skipped";
-    /// One warm-started Algorithm 3 solve (`dp_placement_warm`): bound
-    /// cache refresh, incumbent seeding, and the seeded sweep.
-    pub const SOLVER_WARM: &str = "solver.warm";
     /// Warm solves that installed a priced feasible incumbent as the
     /// sweep's initial upper bound.
     pub const SOLVER_WARM_SEEDED: &str = "solver.warm.seeded";
@@ -168,7 +166,6 @@ pub mod names {
         SIM_DEGRADED_REBUILD,
         SIM_REPAIR,
         STREAM_INGEST,
-        SOLVER_WARM,
     ];
     /// Every counter name the epoch loop pre-declares.
     pub const COUNTERS: &[&str] = &[

@@ -58,14 +58,17 @@
 //! classes yields the same sweep result — the bound values are identical
 //! either way — so the cutoff is a pure time trade.
 //!
-//! # Warm starts
+//! # One solver session
 //!
-//! The streaming engine re-solves the same instance epoch after epoch
-//! with only a few hosts' masses moved. [`crate::warm::dp_placement_warm`]
-//! wraps this sweep with a persistent bound cache and an incumbent seed;
-//! the pieces it reuses ([`sweep_classes_with_hashes`], [`egress_order`],
-//! [`SweepCtx::run_sweep`]) live here so warm and cold share one code
-//! path and stay bit-identical by construction.
+//! Every `n ≥ 3` solve runs through a [`crate::warm::BoundCache`] session
+//! and [`SweepCtx::run_sweep`]: [`dp_placement_with_agg`] is a solve on a
+//! fresh session, and [`crate::warm::dp_placement_warm`] reuses one
+//! across epochs with an incumbent seed. The pieces the session caches
+//! ([`sweep_classes_with_hashes`], [`egress_order`], the interior memo)
+//! live here; a cold solve is simply a session that has nothing cached
+//! yet, so cold and warm share one code path and stay bit-identical by
+//! construction. Only the `n ≤ 2` closed forms (`closed_form`) bypass
+//! the session.
 //!
 //! All per-egress state (stroll tables, candidate chains) lives in
 //! per-worker thread-local scratch reused across egresses and epochs, so
@@ -77,6 +80,7 @@
 //! k = 32 (1,280 switches) solves possible without a V² matrix.
 
 use crate::aggregates::AttachAggregates;
+use crate::warm::{dp_placement_warm, BoundCache};
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
 use ppdc_stroll::{dp_stroll_all_sources, DpBatchSolver};
@@ -89,10 +93,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 thread_local! {
-    /// Closure scratch for [`dp_placement_with_agg`]: refilled in place
-    /// each call, so the hourly loop never re-allocates the `m × m` cost
-    /// matrix or the node-universe-sized reverse index.
-    static CLOSURE_SCRATCH: RefCell<MetricClosure> = RefCell::new(MetricClosure::default());
     /// Per-worker sweep scratch: stroll tables and chain buffers reused
     /// across egresses and epochs.
     static EGRESS_SCRATCH: RefCell<EgressScratch> = RefCell::new(EgressScratch::default());
@@ -107,15 +107,21 @@ struct EgressScratch {
     best_chain: Vec<NodeId>,
 }
 
-/// One egress slot of the interior memo, indexed by ingress closure
-/// index: the `n−2` interior switches of the row's chain, or `None` when
-/// the stroll solver reported the row unsolvable (or the index is the
-/// egress itself). Empty until the sweep first visits the egress, then
-/// filled densely in one pass — see [`SweepCtx::fill_slot`].
-type MemoSlot = Vec<Option<Box<[NodeId]>>>;
+/// One egress slot of the interior memo: the `n−2` interior switches of
+/// every ingress row's chain in one flat row-major array (row `s` holds
+/// `interiors[s·(n−2)..(s+1)·(n−2)]`), plus which rows the stroll solver
+/// could solve — never the egress's own row. Empty until the sweep first
+/// visits the egress, then filled densely in one pass — see
+/// [`SweepCtx::fill_slot`]. One allocation per slot instead of one per
+/// row keeps the memo at `m·(n−2)` ids per visited egress.
+#[derive(Debug, Default)]
+struct MemoSlot {
+    interiors: Vec<NodeId>,
+    solvable: Vec<bool>,
+}
 
-/// Cross-epoch memo of interior stroll chains, owned by the warm path's
-/// [`crate::warm::BoundCache`].
+/// Cross-epoch memo of interior stroll chains, owned by the solver
+/// session ([`crate::warm::BoundCache`]).
 ///
 /// A stroll solution is a deterministic function of
 /// `(closure, egress, ingress, n)` alone — the aggregates never enter the
@@ -148,13 +154,13 @@ impl InteriorMemo {
         self.slots.resize_with(m, Mutex::default);
     }
 
-    /// The slot for egress `t_ix`, or `None` when the memo was never
-    /// sized for this closure (cold sweeps pass no memo at all).
+    /// The slot for egress `t_ix`; `None` only for an index outside the
+    /// closure the memo was last [`InteriorMemo::reset`] for.
     fn slot(&self, t_ix: usize) -> Option<std::sync::MutexGuard<'_, MemoSlot>> {
         self.slots
             .get(t_ix)
-            // A worker can only poison its own slot, and a poisoned map
-            // still holds only completed inserts — safe to keep using.
+            // A worker can only poison its own slot, and a fill cut short
+            // by the panic is redone on the next visit (see `fill_chain`).
             .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -197,55 +203,22 @@ pub fn dp_placement<D: DistanceOracle + ?Sized>(
 /// serving component of a partitioned fabric. For full aggregates the
 /// candidate set equals `g.switches()` and behavior is unchanged.
 ///
-/// The metric closure is rebuilt into thread-local scratch each call;
-/// callers that hold `dm` and the switch set fixed across calls should pass
-/// a [`ppdc_topology::CachedClosure`]'s contents to
-/// [`dp_placement_with_closure`] instead and skip even the refill.
+/// This is a solve on a fresh [`BoundCache`] session: the closure, bounds
+/// and interior memo are built for this call and dropped after it. Callers
+/// that solve repeatedly over one distance oracle keep a session instead
+/// ([`dp_placement_warm`]); the result is bit-identical either way.
 ///
 /// # Errors
 ///
 /// Same conditions as [`dp_placement`].
 pub fn dp_placement_with_agg<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
+    g: &Graph,
     dm: &D,
     w: &Workload,
     sfc: &Sfc,
     agg: &AttachAggregates,
 ) -> Result<(Placement, Cost), PlacementError> {
-    if sfc.len() < 3 {
-        // The small-n paths never touch the closure; skip the refill.
-        return dp_placement_inner(dm, w, sfc, agg, None);
-    }
-    CLOSURE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut mc) => {
-            mc.rebuild_over(dm, agg.switches());
-            dp_placement_inner(dm, w, sfc, agg, Some(&mc))
-        }
-        // Re-entrant call on this thread (no such caller today): fall back
-        // to a fresh closure rather than risking a borrow panic.
-        Err(_) => dp_placement_inner(dm, w, sfc, agg, None),
-    })
-}
-
-/// [`dp_placement_with_agg`] against a caller-cached metric closure, which
-/// must cover exactly `agg`'s candidate switches on `dm` (checked in debug
-/// builds). The simulator's hourly loop holds one
-/// [`ppdc_topology::CachedClosure`] per day segment — the switch set and
-/// distance matrix only change on fault events — and runs every solve
-/// through it.
-///
-/// # Errors
-///
-/// Same conditions as [`dp_placement`].
-pub fn dp_placement_with_closure<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    agg: &AttachAggregates,
-    closure: &MetricClosure,
-) -> Result<(Placement, Cost), PlacementError> {
-    dp_placement_inner(dm, w, sfc, agg, Some(closure))
+    dp_placement_warm(g, dm, w, sfc, agg, &mut BoundCache::new(), None)
 }
 
 /// The branch-and-bound admissible bound, minimised over all ordered
@@ -309,93 +282,69 @@ pub fn placement_cost_lower_bound<D: DistanceOracle + ?Sized>(
     lb.min(INFINITY)
 }
 
-pub(crate) fn dp_placement_inner<D: DistanceOracle + ?Sized>(
+/// Algorithm 3's closed forms for `n ≤ 2`, which need no closure, bounds or
+/// stroll: `n = 1` is the weighted median `min_x A_in[x] + A_out[x]`, and
+/// `n = 2` the best ordered pair `A_in[i] + Σλ·c(i, j) + A_out[j]`. Costs
+/// use the saturating algebra, so a partitioned fabric's [`INFINITY`]
+/// distances price as unreachable instead of overflowing. The caller has
+/// checked that `agg` offers at least `n ≥ 1` candidates.
+pub(crate) fn closed_form<D: DistanceOracle + ?Sized>(
     dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
     agg: &AttachAggregates,
-    closure: Option<&MetricClosure>,
+    n: usize,
 ) -> Result<(Placement, Cost), PlacementError> {
-    let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_DP);
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
-    }
-    let n = sfc.len();
     let switches = agg.switches();
-    if switches.len() < n {
-        return Err(too_few(switches.len(), n));
-    }
-    let result = match n {
-        1 => {
-            // The length check above guarantees at least one switch.
-            let Some(best) = switches
-                .iter()
-                .map(|&x| (agg.a_in(x) + agg.a_out(x), x))
-                .min()
-            else {
-                return Err(too_few(0, n));
-            };
-            Ok((Placement::new_unchecked(vec![best.1]), best.0))
-        }
-        2 => {
-            let rate = agg.total_rate();
-            let mut best: Option<(Cost, NodeId, NodeId)> = None;
-            for &i in switches {
-                for &j in switches {
-                    if i == j {
-                        continue;
-                    }
-                    let cost = agg.a_in(i) + rate * dm.cost(i, j) + agg.a_out(j);
-                    if best.is_none_or(|(c, ..)| cost < c) {
-                        best = Some((cost, i, j));
-                    }
+    let best = if n == 1 {
+        switches
+            .iter()
+            .map(|&x| (sat_add(agg.a_in(x), agg.a_out(x)), x))
+            .min()
+            .map(|(cost, x)| (cost, vec![x]))
+    } else {
+        let rate = agg.total_rate();
+        let mut best: Option<(Cost, Vec<NodeId>)> = None;
+        for &i in switches {
+            for &j in switches {
+                if i == j {
+                    continue;
+                }
+                let cost = sat_add(
+                    sat_add(agg.a_in(i), sat_mul(rate, dm.cost(i, j))),
+                    agg.a_out(j),
+                );
+                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                    best = Some((cost, vec![i, j]));
                 }
             }
-            // The length check above guarantees at least two switches.
-            let Some((cost, i, j)) = best else {
-                return Err(too_few(switches.len(), n));
-            };
-            Ok((Placement::new_unchecked(vec![i, j]), cost))
         }
-        _ => match closure {
-            Some(c) => {
-                debug_assert_eq!(
-                    c.nodes(),
-                    switches,
-                    "metric closure does not cover the aggregate candidate set"
-                );
-                bb_sweep(dm, agg, c, n)
-            }
-            None => bb_sweep(dm, agg, &MetricClosure::over(dm, switches), n),
-        },
+        best
     };
-    // `strict-invariants` contract: Algorithm 3 must return an injective
-    // placement (one VNF per switch, footnote 3 of the paper) whose
-    // reported cost matches an independent aggregate re-evaluation.
-    #[cfg(feature = "strict-invariants")]
-    if let Ok((p, c)) = &result {
-        assert!(
-            p.is_injective(),
-            "dp_placement returned a non-injective placement: {:?}",
-            p.switches()
-        );
-        assert_eq!(
-            *c,
-            agg.comm_cost(dm, p),
-            "dp_placement's reported cost disagrees with re-evaluation"
-        );
-    }
-    result
+    best.map(|(cost, chain)| (Placement::new_unchecked(chain), cost))
+        .ok_or_else(|| too_few(switches.len(), n))
 }
 
 /// SplitMix64 finalizer: the commutative row-fingerprint mixer of
-/// [`interchange_classes`]. Any collision is caught by the exact row
-/// comparison that follows, so only determinism matters here.
+/// [`interchange_classes_with_hashes`]. Any collision is caught by the
+/// exact row comparison that follows, so only determinism matters here.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Full-row commutative fingerprints for
+/// [`interchange_classes_with_hashes`]: interchangeable rows are equal as
+/// multisets (the off-pair entries match pointwise, the pair entries are
+/// `0` and the symmetric `c(u, v)` on both sides). Split out because the fingerprints depend only on the closure —
+/// not the aggregates — so the session ([`crate::warm::BoundCache`])
+/// computes them once per candidate set and reclassifies dirty epochs
+/// against the cached values.
+pub(crate) fn closure_row_hashes(closure: &MetricClosure) -> Vec<u64> {
+    let m = closure.len();
+    (0..m)
+        .map(|i| (0..m).fold(0u64, |acc, x| acc.wrapping_add(mix(closure.cost_ix(i, x)))))
+        .collect()
 }
 
 /// Groups closure indices into interchangeability classes: `u ≡ v` iff
@@ -411,33 +360,12 @@ fn mix(x: u64) -> u64 {
 /// Classes come back ordered by first member, members ascending —
 /// deterministic regardless of hash values. Arbitrary (asymmetric
 /// workload, irregular fabric) inputs simply degrade to singletons.
-pub(crate) fn interchange_classes(
-    closure: &MetricClosure,
-    a_in: &[Cost],
-    a_out: &[Cost],
-) -> Vec<Vec<usize>> {
-    interchange_classes_with_hashes(closure, a_in, a_out, &closure_row_hashes(closure))
-}
-
-/// Full-row commutative fingerprints for [`interchange_classes`]:
-/// interchangeable rows are equal as multisets (the off-pair entries match
-/// pointwise, the pair entries are `0` and the symmetric `c(u, v)` on both
-/// sides). Split out because the fingerprints depend only on the closure —
-/// not the aggregates — so the warm path's [`crate::warm::BoundCache`]
-/// computes them once per candidate set and reclassifies dirty epochs
-/// against the cached values.
-pub(crate) fn closure_row_hashes(closure: &MetricClosure) -> Vec<u64> {
-    let m = closure.len();
-    (0..m)
-        .map(|i| (0..m).fold(0u64, |acc, x| acc.wrapping_add(mix(closure.cost_ix(i, x)))))
-        .collect()
-}
-
-/// [`interchange_classes`] against caller-cached row fingerprints, which
-/// must equal [`closure_row_hashes`] of `closure` (checked in debug
-/// builds). The fingerprint is a bucketing accelerator only — membership
-/// is decided by the exact row comparison — so correct hashes make the
-/// result identical to a from-scratch classification.
+///
+/// `hashes` must equal [`closure_row_hashes`] of `closure` (checked in
+/// debug builds). The fingerprint is a bucketing accelerator only —
+/// membership is decided by the exact row comparison — so the session
+/// computes it once per closure and reclassifies against the cached
+/// values whenever aggregates move.
 pub(crate) fn interchange_classes_with_hashes(
     closure: &MetricClosure,
     a_in: &[Cost],
@@ -476,8 +404,9 @@ pub(crate) fn interchange_classes_with_hashes(
     classes
 }
 
-/// Below this candidate count the sweep skips [`interchange_classes`]
-/// bucketing and every switch is its own class. The O(m²) fingerprint
+/// Below this candidate count the sweep skips
+/// [`interchange_classes_with_hashes`] bucketing and every switch is its
+/// own class. The O(m²) fingerprint
 /// fold plus bucket verification costs more than the bound sharing
 /// recovers on small fabrics (k = 4 has 20 switch candidates, k = 8 has
 /// 80 — both finish in tens of microseconds either way), while k = 16
@@ -492,21 +421,9 @@ fn singleton_classes(m: usize) -> Vec<Vec<usize>> {
 }
 
 /// The sweep's class partition behind the [`ORBIT_MIN_SWITCHES`] cutoff:
-/// singletons below it, [`interchange_classes`] at or above.
-pub(crate) fn sweep_classes(
-    closure: &MetricClosure,
-    a_in: &[Cost],
-    a_out: &[Cost],
-) -> Vec<Vec<usize>> {
-    if closure.len() < ORBIT_MIN_SWITCHES {
-        singleton_classes(closure.len())
-    } else {
-        interchange_classes(closure, a_in, a_out)
-    }
-}
-
-/// [`sweep_classes`] against caller-cached row fingerprints; `hashes` is
-/// never read below the cutoff (the warm cache leaves it empty there).
+/// singletons below it, [`interchange_classes_with_hashes`] at or above.
+/// `hashes` is never read below the cutoff (the session leaves it empty
+/// there).
 pub(crate) fn sweep_classes_with_hashes(
     closure: &MetricClosure,
     a_in: &[Cost],
@@ -617,17 +534,18 @@ pub(crate) struct SweepCtx<'a, D: DistanceOracle + ?Sized> {
     pub(crate) a_in: &'a [Cost],
     pub(crate) a_out: &'a [Cost],
     /// Interchangeability classes of the closure indices
-    /// ([`sweep_classes`]): every bound is evaluated once per class.
+    /// ([`sweep_classes_with_hashes`]): every bound is evaluated once per
+    /// class.
     pub(crate) classes: &'a [Vec<usize>],
     /// [`class_sizes`] of `classes`.
     pub(crate) class_size: &'a [u32],
-    /// Cross-epoch interior-chain memo; `None` on cold sweeps. See
-    /// [`InteriorMemo`] for why consulting it preserves bit-identity.
-    pub(crate) memo: Option<&'a InteriorMemo>,
+    /// The session's interior-chain memo. See [`InteriorMemo`] for why
+    /// consulting it preserves bit-identity.
+    pub(crate) memo: &'a InteriorMemo,
     /// Cheapest exact candidate cost seen so far (`u64::MAX` until the
-    /// first candidate — or the warm path's seeded incumbent cost; every
-    /// real bound saturates at [`INFINITY`], which is far below `MAX`, so
-    /// a cold sweep prunes nothing before a candidate exists).
+    /// first candidate — or the seeded incumbent cost; every real bound
+    /// saturates at [`INFINITY`], which is far below `MAX`, so an unseeded
+    /// sweep prunes nothing before a candidate exists).
     pub(crate) incumbent: AtomicU64,
 }
 
@@ -647,36 +565,34 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
 
     /// Fills `scratch.chain` with the full candidate chain for one
     /// `(s_ix, egress)` row — ingress, `n−2` interior switches, egress —
-    /// consulting the interior memo when one is attached. Returns `false`
-    /// when the stroll solver cannot produce `n−2` distinct interior
-    /// switches for the pair; the memo remembers failures too, so a warm
-    /// sweep never re-runs a known-dead row.
+    /// out of the egress's memo slot, filling the slot on first visit.
+    /// Returns `false` when the stroll solver cannot produce `n−2`
+    /// distinct interior switches for the pair; the memo remembers
+    /// failures too, so a later sweep never re-runs a known-dead row.
     fn fill_chain(
         &self,
         s_ix: usize,
         t_ix: usize,
         egress: NodeId,
         scratch: &mut EgressScratch,
-        memo_slot: Option<&mut MemoSlot>,
+        slot: &mut MemoSlot,
     ) -> bool {
+        if slot.solvable.len() != self.closure.len() {
+            self.fill_slot(t_ix, scratch, slot);
+        }
+        let k = self.n - 2;
+        // The chain is closure-determined, so the memoized interior is
+        // exactly what the DP would rebuild.
+        let interior = match slot.solvable.get(s_ix) {
+            Some(true) => slot.interiors.get(s_ix * k..(s_ix + 1) * k),
+            _ => None,
+        };
+        let Some(interior) = interior else {
+            return false;
+        };
         scratch.chain.clear();
         scratch.chain.push(self.closure.node(s_ix));
-        if let Some(slot) = memo_slot {
-            if slot.is_empty() {
-                self.fill_slot(t_ix, scratch, slot);
-            }
-            match &slot[s_ix] {
-                // Memo hit: the chain is closure-determined, so the
-                // cached interior is exactly what the DP would rebuild.
-                Some(interior) => scratch.chain.extend_from_slice(interior),
-                None => return false,
-            }
-        } else {
-            let Ok(sol) = scratch.solver.solve(self.closure, s_ix, self.n - 2) else {
-                return false;
-            };
-            scratch.chain.extend_from_slice(sol.first_n(self.n - 2));
-        }
+        scratch.chain.extend_from_slice(interior);
         scratch.chain.push(egress);
         true
     }
@@ -688,17 +604,28 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
     /// and an epoch whose pruning boundary shifted afterwards hits the
     /// memo instead of re-growing the egress's tables from scratch.
     fn fill_slot(&self, t_ix: usize, scratch: &mut EgressScratch, slot: &mut MemoSlot) {
-        let m = self.closure.len();
-        slot.reserve_exact(m);
+        let (m, k) = (self.closure.len(), self.n - 2);
+        let egress = self.closure.node(t_ix);
+        slot.interiors.clear();
+        slot.solvable.clear();
+        slot.interiors.reserve_exact(m * k);
+        slot.solvable.reserve_exact(m);
         for s in 0..m {
-            slot.push(if s == t_ix {
-                None // a chain never starts at its own egress
-            } else {
-                match scratch.solver.solve(self.closure, s, self.n - 2) {
-                    Ok(sol) => Some(Box::from(sol.first_n(self.n - 2))),
-                    Err(_) => None,
+            // A chain never starts at its own egress.
+            let sol = (s != t_ix)
+                .then(|| scratch.solver.solve(self.closure, s, k).ok())
+                .flatten();
+            match sol {
+                Some(sol) => {
+                    slot.interiors.extend_from_slice(sol.first_n(k));
+                    slot.solvable.push(true);
                 }
-            });
+                None => {
+                    // Placeholder ids keep the rows aligned; never read.
+                    slot.interiors.extend(std::iter::repeat_n(egress, k));
+                    slot.solvable.push(false);
+                }
+            }
         }
     }
 
@@ -726,7 +653,8 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
         let egress = self.closure.node(t_ix);
         // Held for the whole row loop: this worker is the only visitor of
         // egress `t_ix`, so the lock never blocks (see [`InteriorMemo`]).
-        let mut memo_slot = self.memo.and_then(|m| m.slot(t_ix));
+        // The session sizes the memo with the closure, so the slot exists.
+        let mut slot = self.memo.slot(t_ix)?;
         let mut best_cost: Option<Cost> = None;
         let mut orbit_skipped = 0u64;
         for class in self.classes {
@@ -753,7 +681,7 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
                 if self.pair_bound(s_ix, t_ix) > self.incumbent.load(Ordering::Acquire) {
                     continue;
                 }
-                if !self.fill_chain(s_ix, t_ix, egress, scratch, memo_slot.as_deref_mut()) {
+                if !self.fill_chain(s_ix, t_ix, egress, scratch, &mut slot) {
                     continue;
                 }
                 let cost = self.agg.comm_cost_switches(self.dm, &scratch.chain);
@@ -783,7 +711,7 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
 
     /// Runs the parallel egress sweep over a pre-sorted `(bound, t_ix)`
     /// order and reduces to the lexicographically-least optimum. The order
-    /// must come from [`egress_order`] (possibly with a warm-path prefix
+    /// must come from [`egress_order`] (possibly with the seeded session's
     /// filter applied — dropping entries whose bound exceeds the seeded
     /// incumbent is behavior-identical to pruning them here, because the
     /// incumbent only falls).
@@ -829,40 +757,6 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
     }
 }
 
-/// The `n ≥ 3` best-first sweep over all egresses.
-fn bb_sweep<D: DistanceOracle + ?Sized>(
-    dm: &D,
-    agg: &AttachAggregates,
-    closure: &MetricClosure,
-    n: usize,
-) -> Result<(Placement, Cost), PlacementError> {
-    let m = closure.len();
-    let c_min = closure_c_min(closure);
-    let interior = u64::try_from(n - 1).unwrap_or(u64::MAX);
-    let rate = agg.total_rate();
-    let seg_lb = sat_mul(interior, c_min);
-    let a_in: Vec<Cost> = (0..m).map(|i| agg.a_in(closure.node(i))).collect();
-    let a_out: Vec<Cost> = (0..m).map(|i| agg.a_out(closure.node(i))).collect();
-    let classes = sweep_classes(closure, &a_in, &a_out);
-    let class_size = class_sizes(&classes, m);
-    let order = egress_order(closure, &a_in, &a_out, &classes, rate, seg_lb);
-    let ctx = SweepCtx {
-        dm,
-        agg,
-        closure,
-        n,
-        rate,
-        seg_lb,
-        a_in: &a_in,
-        a_out: &a_out,
-        classes: &classes,
-        class_size: &class_size,
-        memo: None,
-        incumbent: AtomicU64::new(u64::MAX),
-    };
-    ctx.run_sweep(&order)
-}
-
 /// The pre-pruning exhaustive (ingress, egress) sweep, kept verbatim as the
 /// bit-identity oracle for the branch-and-bound solver: `tests/proptests.rs`
 /// asserts both return the same cost **and** switch sequence on random
@@ -878,10 +772,6 @@ pub fn dp_placement_exhaustive_with_agg<D: DistanceOracle + ?Sized>(
     sfc: &Sfc,
     agg: &AttachAggregates,
 ) -> Result<(Placement, Cost), PlacementError> {
-    if sfc.len() < 3 {
-        // The small-n paths have no pruning to ablate.
-        return dp_placement_inner(dm, w, sfc, agg, None);
-    }
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_DP);
     if w.num_flows() == 0 {
         return Err(PlacementError::NoFlows);
@@ -890,6 +780,10 @@ pub fn dp_placement_exhaustive_with_agg<D: DistanceOracle + ?Sized>(
     let switches = agg.switches();
     if switches.len() < n {
         return Err(too_few(switches.len(), n));
+    }
+    if n < 3 {
+        // The closed forms have no pruning to ablate.
+        return closed_form(dm, agg, n);
     }
     let closure = MetricClosure::over(dm, switches);
     let results: Vec<(Cost, Placement)> = (0..switches.len())
@@ -1094,7 +988,8 @@ mod tests {
         let switches: Vec<NodeId> = g.switches().collect();
         let closure = MetricClosure::over(&dm, &switches);
         let zero = vec![0u64; switches.len()];
-        let classes = interchange_classes(&closure, &zero, &zero);
+        let hashes = closure_row_hashes(&closure);
+        let classes = interchange_classes_with_hashes(&closure, &zero, &zero, &hashes);
         // Closure index order: cores 0..4, then per pod ⟨agg, agg, edge,
         // edge⟩ at 4 + 4p.
         let mut expect: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3]];
@@ -1109,7 +1004,7 @@ mod tests {
         // Distinct attach terms split classes back apart.
         let mut a_in = zero.clone();
         a_in[0] = 7;
-        let split = interchange_classes(&closure, &a_in, &zero);
+        let split = interchange_classes_with_hashes(&closure, &a_in, &zero, &hashes);
         assert_eq!(split.len(), classes.len() + 1);
         assert!(split.contains(&vec![0]));
     }
@@ -1119,21 +1014,17 @@ mod tests {
         // k = 4 (20 switch candidates) sits below ORBIT_MIN_SWITCHES: the
         // sweep partition is all singletons and no fingerprints are
         // needed. k = 16 (320) sits above: the partition is exactly the
-        // full interchangeability classification, hashed or not.
+        // full interchangeability classification.
         let g = fat_tree(4).unwrap();
         let dm = DistanceMatrix::build(&g);
         let switches: Vec<NodeId> = g.switches().collect();
         assert!(switches.len() < ORBIT_MIN_SWITCHES);
         let closure = MetricClosure::over(&dm, &switches);
         let zero = vec![0u64; switches.len()];
-        let small = sweep_classes(&closure, &zero, &zero);
+        let small = sweep_classes_with_hashes(&closure, &zero, &zero, &[]);
         assert_eq!(
             small,
             (0..switches.len()).map(|i| vec![i]).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            small,
-            sweep_classes_with_hashes(&closure, &zero, &zero, &[])
         );
 
         let ft = ppdc_topology::FatTree::build(16).unwrap();
@@ -1142,10 +1033,9 @@ mod tests {
         assert!(big_switches.len() >= ORBIT_MIN_SWITCHES);
         let big_closure = MetricClosure::over(&oracle, &big_switches);
         let zeros = vec![0u64; big_switches.len()];
-        let orbits = interchange_classes(&big_closure, &zeros, &zeros);
-        assert!(orbits.len() < big_switches.len(), "k=16 must compress");
-        assert_eq!(orbits, sweep_classes(&big_closure, &zeros, &zeros));
         let hashes = closure_row_hashes(&big_closure);
+        let orbits = interchange_classes_with_hashes(&big_closure, &zeros, &zeros, &hashes);
+        assert!(orbits.len() < big_switches.len(), "k=16 must compress");
         assert_eq!(
             orbits,
             sweep_classes_with_hashes(&big_closure, &zeros, &zeros, &hashes)
@@ -1178,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_closure_entry_point_matches() {
+    fn reused_session_matches_fresh_solve() {
         let g = fat_tree(4).unwrap();
         let dm = DistanceMatrix::build(&g);
         let hosts: Vec<NodeId> = g.hosts().collect();
@@ -1187,13 +1077,41 @@ mod tests {
         w.add_pair(hosts[4], hosts[2], 3);
         let sfc = Sfc::of_len(4).unwrap();
         let agg = AttachAggregates::build(&g, &dm, &w);
-        let mut cc = ppdc_topology::CachedClosure::new();
+        let mut cache = BoundCache::new();
         let (p1, c1) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
         for _ in 0..2 {
-            let closure = cc.get_or_rebuild(&dm, agg.switches());
-            let (p2, c2) = dp_placement_with_closure(&g, &dm, &w, &sfc, &agg, closure).unwrap();
+            let (p2, c2) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, None).unwrap();
             assert_eq!(c1, c2);
             assert_eq!(p1.switches(), p2.switches());
+        }
+    }
+
+    #[test]
+    fn closed_forms_saturate_on_a_partitioned_fabric() {
+        // Failing every core switch splits a k=4 fat-tree into its pods:
+        // cross-pod distances are INFINITY, and a raw `rate * INFINITY`
+        // in the n = 2 form used to overflow. Both closed forms must price
+        // in the saturating algebra, agreeing with the admissible bound
+        // (exact for n ≤ 2) and with Eq. 1 re-evaluation.
+        let ft = ppdc_topology::FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let mut faults = ppdc_topology::FaultSet::new(g);
+        for &c in ft.core_switches() {
+            faults.fail_node(c).unwrap();
+        }
+        let view = g.degraded_view(&faults);
+        let dm = DistanceMatrix::build(&view);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut w = Workload::new();
+        w.add_pair(hosts[0], hosts[1], 5);
+        w.add_pair(hosts[2], hosts[3], 7);
+        w.add_pair(hosts[0], hosts[15], 2);
+        let agg = AttachAggregates::build(&view, &dm, &w);
+        for n in 1..=2usize {
+            let sfc = Sfc::of_len(n).unwrap();
+            let (p, cost) = dp_placement(&view, &dm, &w, &sfc).unwrap();
+            assert_eq!(cost, agg.comm_cost(&dm, &p), "n={n}");
+            assert_eq!(cost, placement_cost_lower_bound(&dm, &agg, n), "n={n}");
         }
     }
 

@@ -9,10 +9,12 @@
 //! * [`dp_placement`] — **DP** (Algorithm 3): enumerate ingress/egress
 //!   switch pairs, solve an `(n−2)`-stroll between them with the shared-
 //!   target DP of Algorithm 2, pick the cheapest assembly. Parallelized
-//!   over egress switches with rayon.
-//! * [`dp_placement_warm`] — the same sweep warm-started for streaming
-//!   epochs: a persistent [`BoundCache`] of bound terms and egress order
-//!   plus incumbent seeding, bit-identical to the cold solve ([`warm`]).
+//!   over egress switches with rayon. Every `n ≥ 3` solve runs as one
+//!   branch-and-bound sweep on a solver session ([`BoundCache`]):
+//!   [`dp_placement_with_agg`] uses a fresh session, and
+//!   [`dp_placement_warm`] reuses one across epochs with an incumbent
+//!   seed, bit-identically ([`warm`]). [`dp_placement_exhaustive_with_agg`]
+//!   is the unpruned reference the sweep is tested against.
 //! * [`optimal_placement`] — **Optimal** (Algorithm 4): exact
 //!   branch-and-bound over ordered distinct switch sequences (see
 //!   [`optimal`] for the bound); [`exhaustive_placement`] is the paper's
@@ -54,7 +56,7 @@ pub use baselines::{
 };
 pub use dp::{
     dp_placement, dp_placement_exhaustive_with_agg, dp_placement_with_agg,
-    dp_placement_with_closure, placement_cost_lower_bound,
+    placement_cost_lower_bound,
 };
 pub use optimal::{
     exhaustive_placement, optimal_placement, optimal_placement_with_agg,

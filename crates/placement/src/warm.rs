@@ -1,41 +1,45 @@
-//! **Warm-started re-solver** — incumbent seeding and delta-scoped bound
-//! caching for the streaming epoch loop.
+//! **The Algorithm 3 solver session** — one [`BoundCache`] per run of
+//! solves, incumbent seeding, and delta-scoped bound caching.
 //!
-//! Consecutive epochs solve near-identical instances: the PR 9 ingestion
-//! phase reports exactly which hosts' rate masses moved
-//! ([`HostMassDelta`]), and the previous epoch's placement is usually
-//! still optimal or close to it. [`dp_placement_warm`] exploits both:
+//! Every `n ≥ 3` placement solve runs here: [`crate::dp_placement_with_agg`]
+//! is a solve on a fresh session, and the engines (hourly TOM, mPareto's
+//! inner solve, the streaming epoch loop) hold one session for the day.
+//! Consecutive solves face near-identical instances — few hosts' rate
+//! masses move, and the previous placement is usually still optimal or
+//! close to it. [`dp_placement_warm`] exploits both:
 //!
 //! 1. **Incumbent seeding** — the incumbent placement is priced under the
 //!    *new* aggregates and installed as the sweep's initial atomic upper
 //!    bound. A near-stationary epoch then prunes almost every egress at
 //!    its first bound comparison instead of discovering the same optimum
 //!    from scratch.
-//! 2. **Delta-scoped bound caching** — a persistent [`BoundCache`] holds
-//!    the per-candidate `A_in`/`A_out` bound terms, the metric closure,
-//!    its commutative row fingerprints, the interchangeability classes,
-//!    and the best-bound egress order. Epochs report their merged mass
-//!    deltas via [`BoundCache::note_mass_deltas`]; at the next solve only
-//!    rows whose aggregates actually moved recompute (a cancelling delta
-//!    pair leaves its rows clean), classes are re-verified only when some
-//!    row is dirty, and a quiet epoch reuses everything verbatim.
+//! 2. **Delta-scoped bound caching** — the session holds the
+//!    per-candidate `A_in`/`A_out` bound terms, the metric closure, its
+//!    commutative row fingerprints, the interchangeability classes, and
+//!    the best-bound egress order. Each solve diffs the `O(m)` per-switch
+//!    terms against the aggregates it is handed (`m ≤ 1,280` candidates,
+//!    no oracle queries); only a moved row dirties the classes, a
+//!    cancelling delta pair leaves its rows clean, and a quiet epoch
+//!    reuses everything verbatim.
 //! 3. **Dirty-row egress sweep** — with a seeded incumbent, cached order
 //!    entries whose bound already exceeds the seed are dropped before the
 //!    parallel sweep even spawns them.
 //! 4. **Interior-chain memoization** — the stroll DP filling a chain's
 //!    interior is a function of the metric closure alone (fixed while
-//!    the cache is valid); the aggregates only price the finished chain.
-//!    Every solved `(ingress, egress)` interior is therefore memoized
-//!    (`InteriorMemo` in `dp.rs`) and later epochs price it under the
-//!    new aggregates in `O(n)` instead of re-running the per-egress DP
-//!    fill. This carries the bulk of the speedup: an admissible bound
-//!    can never prune the `{lb ≤ optimum}` survivor set, but memoization
-//!    makes every survivor nearly free after its first solve.
+//!    the session is valid); the aggregates only price the finished
+//!    chain. Every visited egress's interiors are therefore memoized
+//!    (`InteriorMemo` in `dp.rs`, one flat `m·(n−2)` id array per egress)
+//!    and later solves price them under the new aggregates in `O(n)`
+//!    instead of re-running the per-egress DP fill. This carries the bulk
+//!    of the speedup: an admissible bound can never prune the
+//!    `{lb ≤ optimum}` survivor set, but memoization makes every survivor
+//!    nearly free after its first solve.
 //!
 //! # Bit-identity
 //!
-//! The warm solve returns the same cost **and** the same lexicographic
-//! switch tie-break as the cold solve (DESIGN.md §10, proptested against
+//! A session solve returns the same cost **and** the same lexicographic
+//! switch tie-break as a fresh-session solve and as the exhaustive sweep
+//! (DESIGN.md §10, proptested against
 //! [`crate::dp_placement_exhaustive_with_agg`]). The argument in brief:
 //! the seed is the exact cost of a feasible placement, so it is an upper
 //! bound on nothing below the optimum; strict-inequality pruning then
@@ -48,19 +52,20 @@
 //! # Cache contract
 //!
 //! A [`BoundCache`] is keyed by the candidate switch set and chain length
-//! (shape changes trigger a transparent full rebuild) but **trusts** the
-//! caller on two points: the distance oracle must not change between
-//! solves without an [`BoundCache::invalidate`] call, and every aggregate
-//! mutation between solves must be reported through
-//! [`BoundCache::note_mass_deltas`]. The streaming engine satisfies both
-//! by construction — its oracle is fixed for the day and every mutation
-//! flows through the ingest report. On checkpoint restore the engine
-//! starts from a fresh cache (rebuilt, never persisted), which keeps
-//! `ppdc-stream-ckpt/v1` primary-state-only and kill/resume bit-identical.
+//! (shape changes trigger a transparent full rebuild) and diffs the
+//! aggregates on every solve, so it follows any aggregate mutation —
+//! folded deltas, restricted rebuilds, rates moved between flows —
+//! without being told. It imposes **one** obligation on the caller: call
+//! [`BoundCache::invalidate`] whenever the distance oracle's answers
+//! change (fault events, topology edits). The hourly engines do so on
+//! every fault-event hour; the streaming engine's oracle is fixed for the
+//! day. On checkpoint restore an engine starts from a fresh cache
+//! (rebuilt, never persisted), which keeps the checkpoint formats
+//! primary-state-only and kill/resume bit-identical.
 
 use crate::aggregates::{AttachAggregates, HostMassDelta};
 use crate::dp::{
-    class_sizes, closure_c_min, closure_row_hashes, dp_placement_inner, egress_order,
+    class_sizes, closed_form, closure_c_min, closure_row_hashes, egress_order,
     sweep_classes_with_hashes, too_few, InteriorMemo, SweepCtx, ORBIT_MIN_SWITCHES,
 };
 use crate::PlacementError;
@@ -69,8 +74,8 @@ use ppdc_obs::names as obs_names;
 use ppdc_topology::{sat_mul, Cost, DistanceOracle, Graph, MetricClosure, NodeId};
 use std::sync::atomic::AtomicU64;
 
-/// Persistent bound state reused across warm solves; see the module docs
-/// for what it caches and the contract it imposes on callers.
+/// The solver session: bound state reused across solves; see the module
+/// docs for what it caches and the one obligation it imposes on callers.
 ///
 /// All fields are derived state: dropping the cache (or calling
 /// [`BoundCache::invalidate`]) costs one full rebuild on the next solve
@@ -78,8 +83,6 @@ use std::sync::atomic::AtomicU64;
 #[derive(Debug, Default)]
 pub struct BoundCache {
     valid: bool,
-    /// Set by [`BoundCache::note_mass_deltas`]; cleared by each solve.
-    touched: bool,
     /// Chain length the cached `seg_lb`/order were computed for.
     n: usize,
     /// Candidate switch set the closure covers, in aggregate order.
@@ -111,7 +114,7 @@ impl BoundCache {
     }
 
     /// True once the cache holds a usable bound state (i.e. at least one
-    /// warm solve has run since construction/invalidation).
+    /// `n ≥ 3` solve has run since construction/invalidation).
     pub fn is_warm(&self) -> bool {
         self.valid
     }
@@ -121,16 +124,12 @@ impl BoundCache {
     /// chain-length changes are detected automatically and do not need it.
     pub fn invalidate(&mut self) {
         self.valid = false;
-        self.touched = false;
     }
 
-    /// Records that the aggregates absorbed `masses` since the last solve.
-    /// Call once per ingested batch, *after* folding the deltas into the
-    /// aggregates; which hosts moved is irrelevant here — the next solve
-    /// diffs the per-switch terms exactly — only whether anything did.
-    pub fn note_mass_deltas(&mut self, masses: &[HostMassDelta]) {
-        self.touched |= !masses.is_empty();
-    }
+    /// Does nothing. Every solve diffs the per-switch aggregate terms
+    /// itself, so the cache needs no report of which masses moved; the
+    /// method stays only so existing callers keep compiling.
+    pub fn note_mass_deltas(&mut self, _masses: &[HostMassDelta]) {}
 
     /// `(n−1) · c_min` for the cached shape.
     fn seg_lb(&self) -> Cost {
@@ -138,8 +137,10 @@ impl BoundCache {
         sat_mul(interior, self.c_min)
     }
 
-    /// Brings the cache in sync with `agg` for an `n`-VNF solve,
-    /// recomputing as little as the reported deltas allow.
+    /// Brings the cache in sync with `agg` for an `n`-VNF solve: a full
+    /// rebuild on a shape change or after [`BoundCache::invalidate`],
+    /// otherwise a diff of the per-switch terms that recomputes only what
+    /// moved.
     fn refresh<D: DistanceOracle + ?Sized>(&mut self, dm: &D, agg: &AttachAggregates, n: usize) {
         let obs = ppdc_obs::global();
         if !self.valid || self.n != n || self.switches != agg.switches() {
@@ -159,28 +160,11 @@ impl BoundCache {
                 "BoundCache used across a distance change without invalidate()"
             );
         }
-        let m = self.closure.len();
-        let m64 = u64::try_from(m).unwrap_or(u64::MAX);
-        let rate = agg.total_rate();
-        if !self.touched && rate == self.rate {
-            // Nothing was reported since the last solve: unchanged
-            // aggregates + unchanged closure rows imply unchanged bounds,
-            // so every row — and the order built from them — is reused
-            // verbatim (DESIGN.md §10).
-            debug_assert!(
-                (0..m).all(|i| {
-                    let x = self.closure.node(i);
-                    agg.a_in(x) == self.a_in[i] && agg.a_out(x) == self.a_out[i]
-                }),
-                "aggregates moved without BoundCache::note_mass_deltas"
-            );
-            obs.add(obs_names::SOLVER_WARM_ROWS_REUSED, m64);
-            return;
-        }
         // Row-wise invalidation: diff the per-switch terms against the
         // snapshot. O(m) oracle-free scans — the attach aggregates have
-        // already absorbed the deltas — so even a full-fabric churn pays
-        // closure-free refresh here.
+        // already absorbed every mutation — so even a full-fabric churn
+        // pays closure-free refresh here.
+        let m = self.closure.len();
         let mut dirty = 0u64;
         for i in 0..m {
             let x = self.closure.node(i);
@@ -194,22 +178,22 @@ impl BoundCache {
         obs.add(obs_names::SOLVER_WARM_ROWS_DIRTY, dirty);
         obs.add(
             obs_names::SOLVER_WARM_ROWS_REUSED,
-            m64.saturating_sub(dirty),
+            u64::try_from(m).unwrap_or(u64::MAX).saturating_sub(dirty),
         );
-        let rate_changed = rate != self.rate;
-        self.rate = rate;
-        self.touched = false;
-        if dirty == 0 && !rate_changed {
-            // The reported deltas cancelled exactly (or touched only
-            // non-candidate masses): all rows clean, order reused.
+        let rate = agg.total_rate();
+        if dirty == 0 && rate == self.rate {
+            // Unchanged aggregates + unchanged closure rows imply
+            // unchanged bounds: every row, class and order entry is
+            // reused verbatim (DESIGN.md §10).
             return;
         }
+        self.rate = rate;
         if dirty > 0 {
             // Interchangeability depends on the (a_in, a_out) pairs, so
             // dirty rows force a reclassification — against the cached
             // row fingerprints, which depend only on the closure. The
             // canonical class order makes the result identical to a
-            // cold classification of the same aggregates.
+            // fresh classification of the same aggregates.
             self.classes =
                 sweep_classes_with_hashes(&self.closure, &self.a_in, &self.a_out, &self.row_hash);
             self.class_size = class_sizes(&self.classes, m);
@@ -256,14 +240,16 @@ impl BoundCache {
             self.seg_lb(),
         );
         self.valid = true;
-        self.touched = false;
     }
 }
 
-/// Warm-started Algorithm 3: bit-identical to
-/// [`crate::dp_placement_with_agg`] (cost and lexicographic switch
-/// tie-break), faster when `cache` is fresh and `incumbent` is near the
-/// optimum. See the module docs for the mechanism and the cache contract.
+/// Algorithm 3 on a solver session: every DP placement solve except the
+/// exhaustive reference runs here. Bit-identical to a fresh-session solve
+/// ([`crate::dp_placement_with_agg`]) and to the exhaustive sweep (cost
+/// and lexicographic switch tie-break), faster when `cache` has served
+/// earlier solves and `incumbent` is near the optimum. See the module
+/// docs for the mechanism and the cache contract. `n ≤ 2` chains take the
+/// closed forms and do not read or change `cache`.
 ///
 /// `incumbent` is the previous epoch's placement (if any); it is priced
 /// under the *current* aggregates and only used when still feasible for
@@ -282,93 +268,107 @@ pub fn dp_placement_warm<D: DistanceOracle + ?Sized>(
     cache: &mut BoundCache,
     incumbent: Option<&Placement>,
 ) -> Result<(Placement, Cost), PlacementError> {
+    let _span = ppdc_obs::global().span(obs_names::SOLVER_DP);
     if w.num_flows() == 0 {
         return Err(PlacementError::NoFlows);
     }
     let n = sfc.len();
-    if n < 3 {
-        // Closed-form paths: no closure, no bounds, nothing to warm.
-        return dp_placement_inner(dm, w, sfc, agg, None);
-    }
-    let obs = ppdc_obs::global();
-    let _span = obs.span(obs_names::SOLVER_WARM);
     let switches = agg.switches();
     if switches.len() < n {
         return Err(too_few(switches.len(), n));
     }
-    cache.refresh(dm, agg, n);
-    // Seed only from a placement that is feasible *now*: right length,
-    // injective, entirely inside the current candidate set. An infeasible
-    // seed could undercut the true optimum and prune it away.
-    let seed = incumbent.and_then(|p| {
-        let s = p.switches();
-        (s.len() == n && p.is_injective() && s.iter().all(|x| switches.contains(x)))
-            .then(|| agg.comm_cost(dm, p))
-    });
-    let ctx = SweepCtx {
-        dm,
-        agg,
-        closure: &cache.closure,
-        n,
-        rate: cache.rate,
-        seg_lb: cache.seg_lb(),
-        a_in: &cache.a_in,
-        a_out: &cache.a_out,
-        classes: &cache.classes,
-        class_size: &cache.class_size,
-        memo: Some(&cache.interior),
-        incumbent: AtomicU64::new(seed.unwrap_or(u64::MAX)),
+    let result = if n < 3 {
+        closed_form(dm, agg, n)
+    } else {
+        cache.solve(dm, agg, n, incumbent)
     };
-    let result = match seed {
-        Some(ub) => {
-            obs.add(obs_names::SOLVER_WARM_SEEDED, 1);
-            // Dirty-row egress sweep: an order entry whose cached bound
-            // strictly exceeds the seed would be pruned at its first
-            // atomic load anyway (the incumbent only falls from the
-            // seed), so it is dropped before spawning its task. The
-            // sweep's own prune counters are kept in step so warm and
-            // cold runs report comparable totals.
-            let live: Vec<(Cost, usize)> = cache
-                .order
-                .iter()
-                .copied()
-                .filter(|&(bound, _)| bound <= ub)
-                .collect();
-            let skipped = cache.order.len() - live.len();
-            if skipped > 0 {
-                let orbit = cache
-                    .order
-                    .iter()
-                    .filter(|&&(bound, t_ix)| bound > ub && cache.class_size[t_ix] > 1)
-                    .count();
-                let skipped64 = u64::try_from(skipped).unwrap_or(u64::MAX);
-                obs.add(obs_names::SOLVER_WARM_EGRESS_SKIPPED, skipped64);
-                obs.add(obs_names::SOLVER_DP_EGRESS_PRUNED, skipped64);
-                obs.add(
-                    obs_names::SOLVER_DP_ORBIT_PRUNED,
-                    u64::try_from(orbit).unwrap_or(u64::MAX),
-                );
-            }
-            ctx.run_sweep(&live)
-        }
-        None => ctx.run_sweep(&cache.order),
-    };
-    // Same `strict-invariants` contract as the cold solve: injective
-    // placement, reported cost equal to an independent re-evaluation.
+    // `strict-invariants` contract: Algorithm 3 must return an injective
+    // placement (one VNF per switch, footnote 3 of the paper) whose
+    // reported cost matches an independent aggregate re-evaluation.
     #[cfg(feature = "strict-invariants")]
     if let Ok((p, c)) = &result {
         assert!(
             p.is_injective(),
-            "dp_placement_warm returned a non-injective placement: {:?}",
+            "dp_placement returned a non-injective placement: {:?}",
             p.switches()
         );
         assert_eq!(
             *c,
             agg.comm_cost(dm, p),
-            "dp_placement_warm's reported cost disagrees with re-evaluation"
+            "dp_placement's reported cost disagrees with re-evaluation"
         );
     }
     result
+}
+
+impl BoundCache {
+    /// The `n ≥ 3` branch-and-bound sweep over the refreshed session,
+    /// seeded with `incumbent` when it is feasible now.
+    fn solve<D: DistanceOracle + ?Sized>(
+        &mut self,
+        dm: &D,
+        agg: &AttachAggregates,
+        n: usize,
+        incumbent: Option<&Placement>,
+    ) -> Result<(Placement, Cost), PlacementError> {
+        self.refresh(dm, agg, n);
+        let obs = ppdc_obs::global();
+        let switches = agg.switches();
+        // Seed only from a placement that is feasible *now*: right length,
+        // injective, entirely inside the current candidate set. An
+        // infeasible seed could undercut the true optimum and prune it.
+        let seed = incumbent.and_then(|p| {
+            let s = p.switches();
+            (s.len() == n && p.is_injective() && s.iter().all(|x| switches.contains(x)))
+                .then(|| agg.comm_cost(dm, p))
+        });
+        let ctx = SweepCtx {
+            dm,
+            agg,
+            closure: &self.closure,
+            n,
+            rate: self.rate,
+            seg_lb: self.seg_lb(),
+            a_in: &self.a_in,
+            a_out: &self.a_out,
+            classes: &self.classes,
+            class_size: &self.class_size,
+            memo: &self.interior,
+            incumbent: AtomicU64::new(seed.unwrap_or(u64::MAX)),
+        };
+        let Some(ub) = seed else {
+            return ctx.run_sweep(&self.order);
+        };
+        obs.add(obs_names::SOLVER_WARM_SEEDED, 1);
+        // Dirty-row egress sweep: an order entry whose cached bound
+        // strictly exceeds the seed would be pruned at its first atomic
+        // load anyway (the incumbent only falls from the seed), so it is
+        // dropped before spawning its task. The sweep's own prune
+        // counters are kept in step so seeded and unseeded runs report
+        // comparable totals.
+        let live: Vec<(Cost, usize)> = self
+            .order
+            .iter()
+            .copied()
+            .filter(|&(bound, _)| bound <= ub)
+            .collect();
+        let skipped = self.order.len() - live.len();
+        if skipped > 0 {
+            let orbit = self
+                .order
+                .iter()
+                .filter(|&&(bound, t_ix)| bound > ub && self.class_size[t_ix] > 1)
+                .count();
+            let skipped64 = u64::try_from(skipped).unwrap_or(u64::MAX);
+            obs.add(obs_names::SOLVER_WARM_EGRESS_SKIPPED, skipped64);
+            obs.add(obs_names::SOLVER_DP_EGRESS_PRUNED, skipped64);
+            obs.add(
+                obs_names::SOLVER_DP_ORBIT_PRUNED,
+                u64::try_from(orbit).unwrap_or(u64::MAX),
+            );
+        }
+        ctx.run_sweep(&live)
+    }
 }
 
 #[cfg(test)]
@@ -400,8 +400,8 @@ mod tests {
         let mut cache = BoundCache::new();
         let mut prev: Option<Placement> = None;
         for epoch in 0..6u64 {
-            // Perturb a couple of flows each epoch and report the churn
-            // through the aggregate-delta path the stream engine uses.
+            // Perturb the rates each epoch and hand the session freshly
+            // built aggregates; it must diff them on its own.
             let mut rates: Vec<u64> = (0..w.num_flows())
                 .map(|i| (i as u64 + epoch * 13) % 17 + 1)
                 .collect();
@@ -409,12 +409,6 @@ mod tests {
             rates[bump] += 40;
             w.set_rates(&rates).unwrap();
             let agg = AttachAggregates::build(&g, &dm, &w);
-            // A fresh agg build gives no delta list; force the diff path.
-            cache.note_mass_deltas(&[HostMassDelta {
-                host: g.hosts().next().unwrap(),
-                d_in: 0,
-                d_out: 0,
-            }]);
             let (wp, wc) =
                 dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, prev.as_ref()).unwrap();
             let (cp, cc) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
@@ -436,12 +430,45 @@ mod tests {
         let mut cache = BoundCache::new();
         let (p1, c1) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, None).unwrap();
         assert!(cache.is_warm());
-        // No deltas reported: the second solve must take the verbatim-reuse
-        // path and still agree with a cold solve.
+        // Unchanged aggregates: the second solve must take the verbatim-
+        // reuse path and still agree with a fresh-session solve.
         let (p2, c2) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, Some(&p1)).unwrap();
         let (p3, c3) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
         assert_eq!((c1, p1.switches()), (c2, p2.switches()));
         assert_eq!((c2, p2.switches()), (c3, p3.switches()));
+    }
+
+    #[test]
+    fn session_follows_unreported_rate_moves() {
+        // Move rate between two flows with the total unchanged and fold
+        // it into the aggregates without telling the session: every solve
+        // diffs the per-switch terms itself, so a reused session must
+        // still match the exhaustive sweep bit for bit.
+        use ppdc_model::FlowId;
+        let (g, dm, mut w) = fixture();
+        let sfc = Sfc::of_len(4).unwrap();
+        let mut agg = AttachAggregates::build(&g, &dm, &w);
+        let mut cache = BoundCache::new();
+        let (mut prev, _) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, None).unwrap();
+        for step in 0..4usize {
+            let total = agg.total_rate();
+            // Flows 8, 7, … carry rates 9, 8, …: all but one unit moves.
+            let (from, to) = (8 - step, w.num_flows() - 1 - step);
+            let mut rates = w.rates().to_vec();
+            let moved = rates[from] - 1;
+            rates[from] -= moved;
+            rates[to] += moved;
+            let moved = i64::try_from(moved).unwrap();
+            w.set_rates(&rates).unwrap();
+            let deltas = [(FlowId(from as u32), -moved), (FlowId(to as u32), moved)];
+            agg.apply_rate_deltas(&dm, &w, &deltas);
+            assert_eq!(agg.total_rate(), total, "the move keeps Σλ fixed");
+            let (wp, wc) =
+                dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, Some(&prev)).unwrap();
+            let (xp, xc) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+            assert_eq!((wc, wp.switches()), (xc, xp.switches()), "step {step}");
+            prev = wp;
+        }
     }
 
     #[test]

@@ -41,17 +41,15 @@
 use std::collections::BTreeSet;
 
 use ppdc_migration::{
-    mcf_vm_migration, mpareto_with_agg, mpareto_with_closure, no_migration_with_agg,
-    optimal_migration_with_deadline, plan_vm_migration, MigrationError,
+    mcf_vm_migration, mpareto_with_agg, no_migration_with_agg, optimal_migration_with_deadline,
+    plan_vm_migration, MigrationError,
 };
 use ppdc_model::{comm_cost, FlowId, ModelError, Placement, Sfc, VmId, Workload};
 use ppdc_obs::{names as obs_names, Stopwatch};
-use ppdc_placement::{
-    dp_placement_with_agg, dp_placement_with_closure, AttachAggregates, PlacementError,
-};
+use ppdc_placement::{dp_placement_warm, AttachAggregates, BoundCache, PlacementError};
 use ppdc_topology::{
-    CachedClosure, Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition,
-    TopologyError, INFINITY,
+    Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition, TopologyError,
+    INFINITY,
 };
 use ppdc_traffic::{rng_for_run, DynamicTrace, TraceError};
 use rand::Rng;
@@ -683,7 +681,7 @@ pub fn run_day(
 /// Resumes a day from a [`Checkpoint`] taken by [`run_day`] (directly or
 /// loaded back through a [`CheckpointStore`]) and finishes it. The
 /// completed run is **bit-identical** to the uninterrupted one: derived
-/// state (APSP, metric closure, attach aggregates) is rebuilt from the
+/// state (APSP, solver session, attach aggregates) is rebuilt from the
 /// snapshot, and the PR 1/PR 5 equivalence guarantees make the rebuilds
 /// exact.
 ///
@@ -795,11 +793,10 @@ fn run_day_impl(
     let mut dm_healthy = HealthyBaseline::Unbuilt;
     let mut faults = FaultSet::new(g);
     let mut w_cur = w.clone();
-    // One metric closure serves every Algorithm 3 / mPareto call between
-    // fault events: only event hours change `dm_cur` or the candidate set,
-    // so only they invalidate it (the small-n paths never touch it).
-    let mut closure_cache = CachedClosure::new();
-    let use_closure = sfc.len() >= 3;
+    // One solver session serves every Algorithm 3 / mPareto call of the
+    // day: only event hours change `dm_cur`, so only they invalidate it
+    // (candidate-set changes are detected by the session itself).
+    let mut cache = BoundCache::new();
 
     let mut g_view;
     let mut dm_cur;
@@ -857,12 +854,7 @@ fn run_day_impl(
         w_cur.set_rates(&trace.rates_at(0))?;
         agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
         aggregate_rebuilds = 1usize;
-        let (p0, c0) = if use_closure {
-            let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-            dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?
-        } else {
-            dp_placement_with_agg(&g_view, &dm_cur, &w_cur, sfc, &agg)?
-        };
+        let (p0, c0) = dp_placement_warm(&g_view, &dm_cur, &w_cur, sfc, &agg, &mut cache, None)?;
         p = p0;
         initial_cost = c0;
         sv = ServingView::elect(&g_view, &faults, &w_cur);
@@ -923,7 +915,7 @@ fn run_day_impl(
             let apsp_sw = Stopwatch::start_if(measuring);
             dm_cur.rebuild_dirty(&g_view, &changed);
             apsp_ns = apsp_sw.elapsed_ns();
-            closure_cache.invalidate();
+            cache.invalidate();
             sv = ServingView::elect(&g_view, &faults, &w_cur);
             stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
             // The stranded set changed: delta feeds would mix masked and
@@ -1030,12 +1022,8 @@ fn run_day_impl(
             // Recovery: re-place inside the serving component before any
             // policy gets to run; the hour's migration budget is spent on
             // getting the chain back up.
-            let (p_new, comm) = if use_closure {
-                let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?
-            } else {
-                dp_placement_with_agg(&g_view, &dm_cur, &w_cur, sfc, &agg)?
-            };
+            let (p_new, comm) =
+                dp_placement_warm(&g_view, &dm_cur, &w_cur, sfc, &agg, &mut cache, None)?;
             let reinstantiate = dm_cur.diameter();
             let mut migration_cost: Cost = 0;
             let mut moved = 0usize;
@@ -1078,12 +1066,9 @@ fn run_day_impl(
             recovery_migrations = 0;
             match cfg.policy {
                 MigrationPolicy::MPareto => {
-                    let out = if use_closure {
-                        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?
-                    } else {
-                        mpareto_with_agg(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?
-                    };
+                    let out = mpareto_with_agg(
+                        &g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, &mut cache,
+                    )?;
                     p = out.migration.clone();
                     HourRecord {
                         hour: h,
@@ -1094,12 +1079,9 @@ fn run_day_impl(
                     }
                 }
                 MigrationPolicy::OptimalVnf { budget } => {
-                    let seed = if use_closure {
-                        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?
-                    } else {
-                        mpareto_with_agg(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?
-                    };
+                    let seed = mpareto_with_agg(
+                        &g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, &mut cache,
+                    )?;
                     let (out, exactness) = optimal_migration_with_deadline(
                         &g_view,
                         &dm_cur,
@@ -1815,6 +1797,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn reused_session_day_equals_per_hour_fresh_sessions() {
+        // `run_day` holds one solver session for the whole day and
+        // invalidates it on event hours. Stopping after every hour and
+        // resuming solves each hour on a fresh session instead; the two
+        // days must agree bit for bit, across the fault events whose
+        // distance changes force the invalidation.
+        let (ft, w, trace) = day24(30, 5);
+        let fc = FaultConfig {
+            link_fail_per_hour: 0.06,
+            switch_fail_per_hour: 0.02,
+            repair_after: 2,
+        };
+        let schedule = FaultSchedule::generate(ft.graph(), 24, &fc, 5);
+        assert!(
+            (2..24).any(|h| schedule.events_at(h).next().is_some()),
+            "the day must cross an invalidating event hour"
+        );
+        // n = 4 keeps every solve on the session (n ≤ 2 is closed-form).
+        let sfc = Sfc::of_len(4).unwrap();
+        let c = cfg(MigrationPolicy::MPareto);
+        let stop_at = |h: u32| EngineConfig {
+            stop_after: Some(h),
+            ..EngineConfig::default()
+        };
+        let g = ft.graph();
+        let full = run_day(g, &w, &trace, &sfc, &c, &schedule, &EngineConfig::default()).unwrap();
+        let mut step = run_day(g, &w, &trace, &sfc, &c, &schedule, &stop_at(1)).unwrap();
+        for h in 2..=24 {
+            let ck = step.checkpoint.expect("every step stops with a checkpoint");
+            step = resume_day(g, &w, &trace, &sfc, &c, &schedule, &stop_at(h), &ck).unwrap();
+        }
+        assert!(step.completed);
+        assert_eq!(step.result, full.result);
     }
 
     #[test]

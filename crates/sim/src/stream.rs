@@ -38,15 +38,16 @@
 //!   checkpointed rate vector; the PR 1 delta/rebuild equivalence makes
 //!   the reconstruction exact).
 //!
-//! Epochs that do re-solve go through [`dp_placement_warm`]: each ingest
-//! reports its merged mass deltas to a persistent
-//! [`BoundCache`](ppdc_placement::BoundCache) so only touched bound rows
-//! refresh, and the incumbent placement — priced under the new
-//! aggregates — seeds the sweep's upper bound. The warm solve is
-//! bit-identical to the cold one (DESIGN.md §10), so nothing downstream
-//! can tell; it is just 1–2 orders of magnitude faster on localized
-//! churn. The cache is derived state and is **never** checkpointed: a
-//! resumed day starts cold and rebuilds it on its first re-solve.
+//! Epochs that do re-solve go through [`dp_placement_warm`] on one
+//! solver session ([`BoundCache`](ppdc_placement::BoundCache)) held for
+//! the day: each solve diffs the folded aggregates against the session so
+//! only moved bound rows refresh, and the incumbent placement — priced
+//! under the new aggregates — seeds the sweep's upper bound. The session
+//! solve is bit-identical to a fresh-session one (DESIGN.md §10), so
+//! nothing downstream can tell; it is just 1–2 orders of magnitude faster
+//! on localized churn. The session is derived state and is **never**
+//! checkpointed: a resumed day starts from a fresh session and rebuilds
+//! it on its first re-solve.
 
 use ppdc_model::{FlowId, ModelError, Placement, Sfc, Workload};
 use ppdc_obs::names as obs_names;
@@ -1095,11 +1096,11 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     };
     let mut w_cur = w.clone();
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
-    // The warm-solver bound cache lives for the day and is *never*
-    // persisted: a resumed day starts from an empty cache and rebuilds it
-    // on its first re-solve, so `ppdc-stream-ckpt/v1` stays primary-state-
-    // only and kill/resume stays bit-identical (warm ≡ cold makes the
-    // rebuilt cache indistinguishable from the lost one).
+    // The solver session lives for the day and is *never* persisted: a
+    // resumed day starts from a fresh session and rebuilds it on its first
+    // re-solve, so `ppdc-stream-ckpt/v1` stays primary-state-only and
+    // kill/resume stays bit-identical (a reused session ≡ a fresh one
+    // makes the rebuilt cache indistinguishable from the lost one).
     let mut cache = BoundCache::new();
     let (start_epoch, mut store, mut agg, mut placement, mut st) = match resume {
         None => {
@@ -1152,7 +1153,6 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
             let _span = obs.span(obs_names::STREAM_INGEST);
             let report = store.ingest(&batch)?;
             agg.try_apply_mass_deltas(dm, &report.masses, report.total_delta)?;
-            cache.note_mass_deltas(&report.masses);
             report
         };
         obs.add(obs_names::STREAM_DELTAS, report.applied);

@@ -156,55 +156,6 @@ impl MetricClosure {
     }
 }
 
-/// A [`MetricClosure`] cached across solver calls that share one distance
-/// matrix and member set — the simulator's hourly loop, where the fabric
-/// (and therefore `dm` and the candidate switches) only changes on fault
-/// events.
-///
-/// The contract is explicit rather than fingerprint-based: the owner calls
-/// [`CachedClosure::invalidate`] whenever the matrix contents or member set
-/// may have changed, and [`CachedClosure::get_or_rebuild`] refills the
-/// closure in place (via [`MetricClosure::rebuild_over`]) only then.
-#[derive(Debug, Clone, Default)]
-pub struct CachedClosure {
-    closure: MetricClosure,
-    valid: bool,
-}
-
-impl CachedClosure {
-    /// An empty, invalid cache: the first `get_or_rebuild` fills it.
-    pub fn new() -> Self {
-        CachedClosure::default()
-    }
-
-    /// Marks the cached closure stale; the next
-    /// [`CachedClosure::get_or_rebuild`] rebuilds it.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Returns the cached closure, rebuilding it over `dm`/`nodes` first if
-    /// it has been invalidated (or never built). While the cache is valid
-    /// the caller must pass the same member set it was built with — checked
-    /// in debug builds.
-    pub fn get_or_rebuild<D: DistanceOracle + ?Sized>(
-        &mut self,
-        dm: &D,
-        nodes: &[NodeId],
-    ) -> &MetricClosure {
-        if !self.valid {
-            self.closure.rebuild_over(dm, nodes);
-            self.valid = true;
-        }
-        debug_assert_eq!(
-            self.closure.nodes(),
-            nodes,
-            "CachedClosure reused with a different member set without invalidate()"
-        );
-        &self.closure
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,25 +230,6 @@ mod tests {
         }
         // Old members that left the set are no longer indexed.
         assert_eq!(mc.index(switches[10]), None);
-    }
-
-    #[test]
-    fn cached_closure_rebuilds_only_when_invalidated() {
-        let g = fat_tree(4).unwrap();
-        let dm = DistanceMatrix::build(&g);
-        let switches: Vec<NodeId> = g.switches().collect();
-        let mut cc = CachedClosure::new();
-        let c1 = cc.get_or_rebuild(&dm, &switches).clone();
-        assert_eq!(c1.len(), switches.len());
-        // A valid cache serves the same contents without rebuilding.
-        assert_eq!(cc.get_or_rebuild(&dm, &switches).nodes(), c1.nodes());
-        // After invalidation it refills against the new matrix.
-        let mut g2 = g.clone();
-        g2.map_edge_weights(|_, _, w| w * 2);
-        let dm2 = DistanceMatrix::build(&g2);
-        cc.invalidate();
-        let c2 = cc.get_or_rebuild(&dm2, &switches);
-        assert_eq!(c2.cost_ix(0, 1), 2 * c1.cost_ix(0, 1));
     }
 
     #[test]

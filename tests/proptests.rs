@@ -791,7 +791,6 @@ proptest! {
             }
             let report = store.ingest(&deltas).unwrap();
             agg.try_apply_mass_deltas(&oracle, &report.masses, report.total_delta).unwrap();
-            cache.note_mass_deltas(&report.masses);
             // Not every epoch solves: skipped epochs pile their deltas
             // into the next refresh, like a drift-gated engine would.
             if (epoch + 1) % solve_every != 0 && epoch + 1 != n_epochs {
