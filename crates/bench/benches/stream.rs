@@ -3,16 +3,16 @@
 //!
 //! One measured unit is a full aggregate update: route the batch through
 //! [`ShardedFlowStore::ingest`] and fold the merged per-host masses into
-//! [`AttachAggregates::try_apply_mass_deltas`]. The fold dominates and its
-//! cost is `O(|touched hosts| · |switches|)` — independent of the store's
-//! flow count — so the cases sweep churn *locality* against a fixed
-//! 1M-flow store:
+//! [`AttachAggregates::try_apply_mass_deltas`]. The fold's cost is
+//! `O(|touched hosts| + |touched ToRs| · |switches|)` — independent of the
+//! store's flow count — so the cases sweep churn *locality* against a
+//! fixed 1M-flow store:
 //!
 //! * `hot_racks_8` — both endpoints inside 8 hot racks (≤ 128 hosts), the
 //!   paper's active-rack churn pattern and the sub-10 ms target case,
-//! * `hot_pods_2` — endpoints inside two pods (≤ 512 hosts),
-//! * `full_fabric` — every flow moves (all 8192 hosts), the worst case a
-//!   diurnal epoch can produce.
+//! * `hot_pods_2` — endpoints inside two pods (≤ 512 hosts, 32 ToRs),
+//! * `full_fabric` — every flow moves (all 8192 hosts, 512 ToRs), the
+//!   worst case a diurnal epoch can produce.
 //!
 //! Batches alternate with their exact negation each iteration, so the
 //! store and aggregates return to the initial state every two samples and

@@ -23,42 +23,187 @@
 //! per-host rate masses first makes [`AttachAggregates::build`]
 //! `O(|flows| + |V_h|·|V_s|)` instead of `O(|flows|·|V_s|)` — many VMs
 //! share an attach node, and a production workload has orders of magnitude
-//! more flows than hosts. All arithmetic is exact `u64`, so regrouping the
-//! sum changes nothing: the arrays are bit-identical to the flow-by-flow
-//! ones (kept as [`AttachAggregates::build_flow_by_flow`] for tests and
+//! more flows than hosts. All arithmetic is exact, so regrouping the sum
+//! changes nothing: the arrays are bit-identical to the flow-by-flow ones
+//! (kept as [`AttachAggregates::build_flow_by_flow`] for tests and
 //! benches).
+//!
+//! # ToR factoring
+//!
+//! A host whose only neighbour is a switch `tor(h)` reaches every other
+//! node through that switch, so `c(h, x) = c(h, tor(h)) + c(tor(h), x)`
+//! exactly, and the host sums regroup once more by rack:
+//!
+//! `A_in[x] = Σ_h R_out[h]·c(h, tor(h))  +  Σ_tor D_out[tor]·c(tor, x)`
+//!
+//! with `D_out[tor] = Σ_{tor(h)=tor} R_out[h]`. The first sum is one
+//! scalar for all candidates, so the switch sweep runs over touched racks
+//! instead of touched hosts: `O(|flows| + |V_h| + |racks|·|V_s|)` per
+//! build. This path runs whenever the oracle is all-connected
+//! ([`DistanceOracle::all_connected`]) and every candidate is a switch.
+//! Hosts that are not single-homed keep their own host-level terms, and
+//! oracles with unreachable pairs (degraded or partitioned fault views)
+//! use host-level terms throughout — there a failed ToR strands its hosts
+//! and the identity no longer holds.
 //!
 //! The same grouping makes TOM epochs incremental: when only rates change
 //! (hosts and distances fixed), [`AttachAggregates::apply_rate_deltas`]
-//! folds the rate deltas into per-host masses and adds
-//! `Δmass·c(h, x)` to each switch — `O(|Δ| + |touched hosts|·|V_s|)` per
-//! epoch instead of a full rebuild.
+//! folds the rate deltas into per-host masses, the per-host masses into
+//! per-ToR masses, and adds `Δmass·c(tor, x)` to each switch —
+//! `O(|Δ| + |dirty ToRs|·|V_s|)` per epoch instead of a full rebuild
+//! (`O(|Δ| + |dirty hosts|·|V_s|)` on the host-level path).
 
 use ppdc_model::{FlowId, Placement, Workload};
-use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, INFINITY};
+use ppdc_topology::{sat_add, sat_mul, Cost, DistanceOracle, Graph, NodeId, NodeKind, INFINITY};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
-/// One `λ·c(h, x)` attachment term, with the unreachable sentinel kept
-/// intact: a positive mass across an [`INFINITY`] distance contributes
-/// exactly `INFINITY` (never the overflowing product), and a zero mass
-/// contributes 0 regardless of reachability.
+/// One step of a saturating attachment sum: adds `mass·c` with the
+/// unreachable sentinel kept intact. A positive mass across an
+/// [`INFINITY`] distance — or a product beyond the sentinel — pins the
+/// sum at exactly `INFINITY` (never the overflowing product), and a zero
+/// mass contributes 0 regardless of reachability. Every term is
+/// non-negative, so the result is `min(INFINITY, exact sum)` in any
+/// summation order — the regrouped builds land on the same value.
 #[inline]
-fn attach_term(mass: u64, cost: Cost) -> Cost {
-    if mass == 0 {
-        0
-    } else if cost >= INFINITY {
-        INFINITY
-    } else {
-        mass * cost
+fn attach_acc(acc: Cost, mass: u64, cost: Cost) -> Cost {
+    sat_add(acc, sat_mul(mass, cost))
+}
+
+/// `RackMap::slot` value of a node that is not a factorable host.
+const NO_RACK: usize = usize::MAX;
+
+/// Which attach nodes factor through a single top-of-rack switch:
+/// `slot[h]` indexes `tors` for every host whose only neighbour is a
+/// switch, [`NO_RACK`] otherwise. Empty (no host factors) when a candidate
+/// is not a switch, since the identity `c(h, x) = c(h, tor) + c(tor, x)`
+/// needs `x ≠ h`.
+#[derive(Debug, Clone, Default)]
+struct RackMap {
+    slot: Vec<usize>,
+    tors: Vec<NodeId>,
+}
+
+impl RackMap {
+    fn of(g: &Graph, candidates: &[NodeId]) -> Self {
+        if candidates.iter().any(|&x| g.kind(x) != NodeKind::Switch) {
+            return RackMap::default();
+        }
+        let n = g.num_nodes();
+        let mut slot = vec![NO_RACK; n];
+        let mut tor_slot = vec![NO_RACK; n];
+        let mut tors = Vec::new();
+        for h in g.hosts() {
+            let tor = match g.neighbors(h) {
+                [(t, _)] if g.kind(*t) == NodeKind::Switch => *t,
+                _ => continue,
+            };
+            if tor_slot[tor.index()] == NO_RACK {
+                tor_slot[tor.index()] = tors.len();
+                tors.push(tor);
+            }
+            slot[h.index()] = tor_slot[tor.index()];
+        }
+        RackMap { slot, tors }
+    }
+
+    /// The rack slot of `h`, if `h` is a factorable host.
+    #[inline]
+    fn rack_of(&self, h: NodeId) -> Option<usize> {
+        match self.slot.get(h.index()) {
+            Some(&s) if s != NO_RACK => Some(s),
+            _ => None,
+        }
+    }
+
+    /// True if the identity may be applied against `dm`: some host
+    /// factors, and `dm` has no unreachable pair.
+    fn factors<D: DistanceOracle + ?Sized>(&self, dm: &D) -> bool {
+        !self.tors.is_empty() && dm.all_connected()
+    }
+
+    /// Regroups per-host masses (the build) or mass deltas (the fold)
+    /// into per-rack terms; non-factorable hosts pass through. Checked
+    /// `i128` throughout.
+    fn regroup<D: DistanceOracle + ?Sized>(
+        &self,
+        dm: &D,
+        deltas: &[HostMassDelta],
+    ) -> Result<Regrouped, AggregateError> {
+        let in_overflow = AggregateError::Overflow { what: "A_in" };
+        let out_overflow = AggregateError::Overflow { what: "A_out" };
+        let mut terms = Vec::new();
+        let (mut base_in, mut base_out, mut queries) = (0i128, 0i128, 0u64);
+        let mut rack_delta = vec![(0i128, 0i128); self.tors.len()];
+        let mut rack_touched = Vec::new();
+        let mut rack_seen = vec![false; self.tors.len()];
+        for d in deltas {
+            let Some(r) = self.rack_of(d.host) else {
+                terms.push(*d);
+                continue;
+            };
+            let tor = self.tors[r];
+            if d.d_out != 0 {
+                base_in = d
+                    .d_out
+                    .checked_mul(i128::from(dm.cost(d.host, tor)))
+                    .and_then(|t| base_in.checked_add(t))
+                    .ok_or(in_overflow)?;
+                rack_delta[r].0 = rack_delta[r].0.checked_add(d.d_out).ok_or(in_overflow)?;
+                queries += 1;
+            }
+            if d.d_in != 0 {
+                base_out = d
+                    .d_in
+                    .checked_mul(i128::from(dm.cost(tor, d.host)))
+                    .and_then(|t| base_out.checked_add(t))
+                    .ok_or(out_overflow)?;
+                rack_delta[r].1 = rack_delta[r].1.checked_add(d.d_in).ok_or(out_overflow)?;
+                queries += 1;
+            }
+            if !rack_seen[r] {
+                rack_seen[r] = true;
+                rack_touched.push(r);
+            }
+        }
+        terms.extend(rack_touched.into_iter().map(|r| HostMassDelta {
+            host: self.tors[r],
+            d_out: rack_delta[r].0,
+            d_in: rack_delta[r].1,
+        }));
+        Ok(Regrouped {
+            terms,
+            base: (base_in, base_out),
+            queries,
+        })
     }
 }
 
-/// Saturating aggregate accumulation: any unreachable contribution pins the
-/// aggregate at exactly [`INFINITY`] (the documented sentinel) instead of
-/// wrapping.
-#[inline]
-fn attach_acc(acc: Cost, mass: u64, cost: Cost) -> Cost {
-    acc.saturating_add(attach_term(mass, cost)).min(INFINITY)
+/// A sweep regrouped by rack: the per-candidate `terms` (one per touched
+/// rack, plus one per non-factorable host), the candidate-independent
+/// scalar `base = (Σ m_out·c(h, tor), Σ m_in·c(tor, h))` over the factored
+/// hosts, and the oracle queries that scalar took.
+struct Regrouped {
+    terms: Vec<HostMassDelta>,
+    base: (i128, i128),
+    queries: u64,
+}
+
+/// Number of oracle queries a sweep of `terms` × `candidates` makes: one
+/// per nonzero mass side per candidate.
+fn sweep_queries(terms: &[HostMassDelta], candidates: usize) -> u64 {
+    let sides: usize = terms
+        .iter()
+        .map(|d| usize::from(d.d_out != 0) + usize::from(d.d_in != 0))
+        .sum();
+    u64::try_from(sides.saturating_mul(candidates)).unwrap_or(u64::MAX)
+}
+
+/// A non-negative build mass or sum as a saturating [`Cost`] operand:
+/// anything at or beyond the sentinel reads as [`INFINITY`], which
+/// [`sat_add`]/[`sat_mul`] treat exactly like the larger exact value.
+fn saturating_cost(v: i128) -> Cost {
+    u64::try_from(v).map_or(INFINITY, |v| v.min(INFINITY))
 }
 
 /// Typed failure of the checked delta folds
@@ -122,6 +267,10 @@ pub struct AttachAggregates {
     a_out: Vec<Cost>,
     total_rate: u64,
     switches: Vec<NodeId>,
+    racks: RackMap,
+    /// `min_{i ≠ j} c(i, j)` over `switches`, filled on first use by
+    /// [`AttachAggregates::min_candidate_distance`].
+    c_min: OnceLock<Cost>,
 }
 
 /// Per-attach-node rate masses: `out_mass[h] = Σ_{src host = h} λ`,
@@ -167,8 +316,9 @@ impl RateMasses {
 impl AttachAggregates {
     /// Builds the aggregates for `w` over all switches of `g` by first
     /// folding the workload into per-attach-node rate masses
-    /// (`O(|flows| + |V_h|·|V_s|)`). Bit-identical to
-    /// [`AttachAggregates::build_flow_by_flow`].
+    /// (`O(|flows| + |V_h|·|V_s|)`, or `O(|flows| + |V_h| + |racks|·|V_s|)`
+    /// when the hosts factor through their ToRs — see the module docs).
+    /// Bit-identical to [`AttachAggregates::build_flow_by_flow`].
     pub fn build<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D, w: &Workload) -> Self {
         let _span = ppdc_obs::global().span(ppdc_obs::names::AGG_BUILD);
         let switches: Vec<NodeId> = g.switches().collect();
@@ -182,11 +332,17 @@ impl AttachAggregates {
     /// Unreachable attachments saturate: a candidate `x` that cannot reach
     /// some host with nonzero mass gets `A_in[x]` (or `A_out[x]`) pinned at
     /// exactly [`INFINITY`] — the documented sentinel — rather than a
-    /// wrapped product. Zero-mass hosts never contribute, so masking
-    /// stranded flows' rates to 0 keeps the arrays finite even on a
-    /// partitioned fabric. [`AttachAggregates::apply_rate_deltas`] must
-    /// only be fed aggregates whose entries are all finite (the epoch loop
-    /// rebuilds on failure/repair events before delta-feeding resumes).
+    /// wrapped product, and so does a finite sum beyond the sentinel
+    /// (heavy rates across heavy links). Zero-mass hosts never contribute,
+    /// so masking stranded flows' rates to 0 keeps the arrays finite even
+    /// on a partitioned fabric. [`AttachAggregates::apply_rate_deltas`]
+    /// must only be fed aggregates whose entries are all finite (the epoch
+    /// loop rebuilds on failure/repair events before delta-feeding
+    /// resumes).
+    ///
+    /// Each host's attach switch is read from `g`: the ToR factoring of
+    /// the module docs applies to hosts whose only neighbour is a switch,
+    /// whenever `dm` is all-connected.
     pub fn build_restricted<D: DistanceOracle + ?Sized>(
         g: &Graph,
         dm: &D,
@@ -201,29 +357,58 @@ impl AttachAggregates {
             masses.add(src, dst, rate);
             total_rate += rate;
         }
+        let host_terms: Vec<HostMassDelta> = masses
+            .touched
+            .iter()
+            .map(|&h| {
+                let host = NodeId(h);
+                HostMassDelta {
+                    host,
+                    d_out: i128::from(masses.out_mass[host.index()]),
+                    d_in: i128::from(masses.in_mass[host.index()]),
+                }
+            })
+            .collect();
+        let racks = RackMap::of(g, candidates);
+        // Build masses are non-negative and sum to at most `u64::MAX`, so
+        // the regrouping's `i128` arithmetic cannot overflow here.
+        let grouped = if racks.factors(dm) {
+            racks.regroup(dm, &host_terms).ok()
+        } else {
+            None
+        };
+        let (terms, (base_in, base_out), base_queries) = match &grouped {
+            Some(r) => (&r.terms[..], r.base, r.queries),
+            None => (&host_terms[..], (0, 0), 0),
+        };
+        let base = (saturating_cost(base_in), saturating_cost(base_out));
         let mut a_in = vec![0; n];
         let mut a_out = vec![0; n];
         for &x in candidates {
-            let (mut ain, mut aout) = (0, 0);
-            for &h in &masses.touched {
-                let h = NodeId(h);
-                ain = attach_acc(ain, masses.out_mass[h.index()], dm.cost(h, x));
-                aout = attach_acc(aout, masses.in_mass[h.index()], dm.cost(x, h));
+            let (mut ain, mut aout) = base;
+            for d in terms {
+                if d.d_out != 0 {
+                    ain = attach_acc(ain, saturating_cost(d.d_out), dm.cost(d.host, x));
+                }
+                if d.d_in != 0 {
+                    aout = attach_acc(aout, saturating_cost(d.d_in), dm.cost(x, d.host));
+                }
             }
             a_in[x.index()] = ain;
             a_out[x.index()] = aout;
         }
-        // One batched count for the whole sweep (two queries per
-        // touched-host/candidate pair) — no per-query atomics.
+        // One batched count for the whole sweep — no per-query atomics.
         ppdc_obs::global().add(
             ppdc_obs::names::ORACLE_QUERIES,
-            u64::try_from(2 * masses.touched.len() * candidates.len()).unwrap_or(u64::MAX),
+            base_queries.saturating_add(sweep_queries(terms, candidates.len())),
         );
         let agg = AttachAggregates {
             a_in,
             a_out,
             total_rate,
             switches: candidates.to_vec(),
+            racks,
+            c_min: OnceLock::new(),
         };
         // `strict-invariants` contract: the fold over `w.iter()` must land
         // on the workload's own cached total.
@@ -269,6 +454,9 @@ impl AttachAggregates {
             a_out,
             total_rate: w.total_rate(),
             switches: candidates.to_vec(),
+            // The reference never factors, so its folds stay host-level too.
+            racks: RackMap::default(),
+            c_min: OnceLock::new(),
         }
     }
 
@@ -413,13 +601,22 @@ impl AttachAggregates {
 
     /// The shared switch sweep: stage `A_in`/`A_out` updates for every
     /// candidate, validate all of them, then commit — a failed fold never
-    /// leaves the aggregates half-updated.
+    /// leaves the aggregates half-updated. When the hosts factor through
+    /// their ToRs (module docs), the per-host deltas are first summed per
+    /// rack, so the sweep runs over dirty racks instead of dirty hosts.
     fn fold_mass_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
         deltas: &[HostMassDelta],
         total_delta: i128,
     ) -> Result<(), AggregateError> {
+        let grouped;
+        let (terms, (base_in, base_out), base_queries) = if self.racks.factors(dm) {
+            grouped = self.racks.regroup(dm, deltas)?;
+            (&grouped.terms[..], grouped.base, grouped.queries)
+        } else {
+            (deltas, (0, 0), 0)
+        };
         // Every switch's (A_in, A_out) pair is staged independently from
         // immutable state, so the sweep parallelizes without any cross-
         // switch reduction — per-switch arithmetic is the same serial
@@ -429,9 +626,13 @@ impl AttachAggregates {
         let a_out = &self.a_out;
         let switches = &self.switches;
         let stage_one = |x: NodeId| -> Result<(usize, Cost, Cost), AggregateError> {
-            let mut ain = i128::from(a_in[x.index()]);
-            let mut aout = i128::from(a_out[x.index()]);
-            for d in deltas {
+            let mut ain = i128::from(a_in[x.index()])
+                .checked_add(base_in)
+                .ok_or(AggregateError::Overflow { what: "A_in" })?;
+            let mut aout = i128::from(a_out[x.index()])
+                .checked_add(base_out)
+                .ok_or(AggregateError::Overflow { what: "A_out" })?;
+            for d in terms {
                 // A zero-sided mass contributes an exact zero: skipping
                 // the term (and its oracle query) is bit-identical.
                 if d.d_out != 0 {
@@ -457,7 +658,7 @@ impl AttachAggregates {
         };
         const PARALLEL_FOLD_WORK: usize = 1 << 15;
         let staged: Vec<(usize, Cost, Cost)> =
-            if switches.len().saturating_mul(deltas.len()) < PARALLEL_FOLD_WORK {
+            if switches.len().saturating_mul(terms.len()) < PARALLEL_FOLD_WORK {
                 switches
                     .iter()
                     .map(|&x| stage_one(x))
@@ -470,6 +671,10 @@ impl AttachAggregates {
                     .into_iter()
                     .collect::<Result<_, _>>()?
             };
+        ppdc_obs::global().add(
+            ppdc_obs::names::ORACLE_QUERIES,
+            base_queries.saturating_add(sweep_queries(terms, switches.len())),
+        );
         let total = i128::from(self.total_rate).checked_add(total_delta).ok_or(
             AggregateError::Overflow {
                 what: "the total rate",
@@ -509,6 +714,31 @@ impl AttachAggregates {
         &self.switches
     }
 
+    /// `c_min = min_{i ≠ j} c(i, j)` over the candidate switches
+    /// ([`INFINITY`] with fewer than two). It depends only on the oracle
+    /// and the candidate set, both fixed for the aggregates' lifetime, so
+    /// the `O(m²)` scan runs once, on first use: builds that never ask for
+    /// a bound never pay for it, and rate folds keep it. `dm` must be the
+    /// oracle the aggregates were built against.
+    pub(crate) fn min_candidate_distance<D: DistanceOracle + ?Sized>(&self, dm: &D) -> Cost {
+        *self.c_min.get_or_init(|| {
+            let mut c_min = INFINITY;
+            for &i in &self.switches {
+                for &j in &self.switches {
+                    if i != j {
+                        c_min = c_min.min(dm.cost(i, j));
+                    }
+                }
+            }
+            let m = self.switches.len();
+            ppdc_obs::global().add(
+                ppdc_obs::names::ORACLE_QUERIES,
+                u64::try_from(m.saturating_mul(m.saturating_sub(1))).unwrap_or(u64::MAX),
+            );
+            c_min
+        })
+    }
+
     /// Exact `C_a(p)` using the aggregates (equals
     /// [`ppdc_model::comm_cost`]).
     pub fn comm_cost<D: DistanceOracle + ?Sized>(&self, dm: &D, p: &Placement) -> Cost {
@@ -523,7 +753,6 @@ impl AttachAggregates {
         dm: &D,
         switches: &[NodeId],
     ) -> Cost {
-        use ppdc_topology::{sat_add, sat_mul};
         let ingress = switches[0];
         let egress = switches[switches.len() - 1];
         sat_add(
@@ -667,6 +896,45 @@ mod tests {
         let aggz = AttachAggregates::build(&g, &dm, &wz);
         assert_eq!(aggz.a_out(s[0]), 0);
         assert_eq!(aggz.a_in(s[2]), 0);
+    }
+
+    #[test]
+    fn heavy_links_saturate_instead_of_overflowing() {
+        // Regression: the attach term multiplied `mass * cost` unchecked,
+        // so this valid weighted fabric panicked with "attempt to multiply
+        // with overflow" in every profile (release keeps overflow checks):
+        // h1 - s1 -(2^40)- s2 - h2 with one flow of rate 2^30.
+        let mut g = Graph::new();
+        let h1 = g.add_host("h1");
+        let s1 = g.add_switch("s1");
+        let s2 = g.add_switch("s2");
+        let h2 = g.add_host("h2");
+        g.add_edge(h1, s1, 1).unwrap();
+        g.add_edge(s2, h2, 1).unwrap();
+        g.add_edge(s1, s2, 1 << 40).unwrap();
+        let mut w = Workload::new();
+        w.add_pair(h1, h2, 1 << 30);
+        let dm = DistanceMatrix::build(&g);
+        assert!(dm.all_connected());
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        assert_eq!(agg.a_in(s1), 1 << 30);
+        assert_eq!(agg.a_out(s1), INFINITY);
+        assert_eq!(agg.a_in(s2), INFINITY);
+        assert_eq!(agg.a_out(s2), 1 << 30);
+        assert!(agg.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)));
+        // The host-level path (an isolated spare switch leaves the oracle
+        // partitioned) pins at the same sentinel.
+        let spare = g.add_switch("spare");
+        let dm = DistanceMatrix::build(&g);
+        assert!(!dm.all_connected());
+        let host_level = AttachAggregates::build_restricted(&g, &dm, &w, &[s1, s2]);
+        for x in [s1, s2] {
+            assert_eq!(host_level.a_in(x), agg.a_in(x));
+            assert_eq!(host_level.a_out(x), agg.a_out(x));
+        }
+        let all = AttachAggregates::build(&g, &dm, &w);
+        assert_eq!(all.a_in(spare), INFINITY);
+        assert!(all.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)));
     }
 
     #[test]

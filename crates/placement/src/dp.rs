@@ -234,8 +234,20 @@ pub fn dp_placement_with_agg<D: DistanceOracle + ?Sized>(
 /// This is the streaming engine's *staleness certificate*: after folding
 /// rate deltas into `agg`, `comm_cost(incumbent) − LB` bounds how far the
 /// stale incumbent placement can be from the current optimum, without
-/// running a solve. `O(m²)` oracle queries and no closure build, so it is
-/// cheap even at k = 32 against the analytic fat-tree oracle.
+/// running a solve. No closure build, and no per-call `O(m²)` scan:
+///
+/// - `c_min` depends only on the oracle and the candidate set, so it is
+///   computed once per aggregate, on the first call.
+/// - The pair scan visits ingress switches in ascending `A_in` order and,
+///   for each, egress switches in ascending `A_out` order. It stops as
+///   soon as the floor `A_in[i] + Σλ·(n−1)·c_min + A_out[j]` reaches the
+///   best bound so far. The floor never exceeds the pair's bound, since
+///   `max(c(i, j), (n−1)·c_min) ≥ (n−1)·c_min` and the saturating `+`/`·`
+///   are monotone, so the pruned pairs cannot lower the minimum: the
+///   result equals the full scan's.
+///
+/// A call then costs `O(m log m)` plus the oracle queries of the pairs
+/// that survive the floor.
 ///
 /// Returns [`INFINITY`] when `agg` offers fewer than `sfc_len` candidate
 /// switches (no placement exists, so every cost bound holds vacuously) or
@@ -258,27 +270,36 @@ pub fn placement_cost_lower_bound<D: DistanceOracle + ?Sized>(
             .unwrap_or(INFINITY);
     }
     let rate = agg.total_rate();
-    let mut c_min = INFINITY;
-    for &i in switches {
-        for &j in switches {
-            if i != j {
-                c_min = c_min.min(dm.cost(i, j));
-            }
-        }
-    }
     let segments = u64::try_from(sfc_len - 1).unwrap_or(u64::MAX);
-    let seg_lb = sat_mul(segments, c_min);
+    let seg_lb = sat_mul(segments, agg.min_candidate_distance(dm));
+    let chain_floor = sat_mul(rate, seg_lb);
+    let mut ingress = switches.to_vec();
+    ingress.sort_unstable_by_key(|&x| agg.a_in(x));
+    let mut egress = switches.to_vec();
+    egress.sort_unstable_by_key(|&x| agg.a_out(x));
+    let min_out = agg.a_out(egress[0]);
     let mut lb = u64::MAX; // above every saturated bound
-    for &i in switches {
-        for &j in switches {
+    let mut queries = 0u64;
+    for &i in &ingress {
+        let head = sat_add(agg.a_in(i), chain_floor);
+        // Ingress is ascending too: no later `i` can beat `lb` either.
+        if sat_add(head, min_out) >= lb {
+            break;
+        }
+        for &j in &egress {
+            if sat_add(head, agg.a_out(j)) >= lb {
+                break;
+            }
             if i == j {
                 continue;
             }
+            queries += 1;
             let chain_lb = dm.cost(i, j).max(seg_lb);
             let bound = sat_add(sat_add(agg.a_in(i), sat_mul(rate, chain_lb)), agg.a_out(j));
             lb = lb.min(bound);
         }
     }
+    ppdc_obs::global().add(ppdc_obs::names::ORACLE_QUERIES, queries);
     lb.min(INFINITY)
 }
 

@@ -1174,8 +1174,9 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                 tracker.reset();
                 (EpochAction::SkippedCertified { gap }, inc_cost)
             } else {
-                store.export_rates(&mut rates_buf);
-                w_cur.set_rates(&rates_buf)?;
+                // `w_cur` keeps the epoch-0 (or restored) rates: the
+                // solver reads only its flow count, and the aggregates
+                // carry the current rates.
                 let (p, c) =
                     dp_placement_warm(g, dm, &w_cur, sfc, &agg, &mut cache, Some(&placement))?;
                 st.resolves += 1;

@@ -3,11 +3,13 @@
 use ppdc::model::{comm_cost, comm_cost_flow, total_cost, Placement, Sfc, Workload};
 use ppdc::placement::{
     dp_placement, dp_placement_exhaustive_with_agg, dp_placement_with_agg, exhaustive_placement,
-    greedy_placement, optimal_placement, steering_placement, AttachAggregates,
+    greedy_placement, optimal_placement, placement_cost_lower_bound, steering_placement,
+    AttachAggregates,
 };
 use ppdc::stroll::{dp_stroll, exhaustive_stroll, optimal_stroll, StrollInstance};
 use ppdc::topology::{
-    DistanceMatrix, EdgeId, FaultSet, Graph, MetricClosure, NodeId, Partition, INFINITY,
+    sat_add, sat_mul, DistanceMatrix, DistanceOracle, EdgeId, FaultSet, Graph, MetricClosure,
+    NodeId, Partition, INFINITY,
 };
 use proptest::prelude::*;
 
@@ -49,6 +51,130 @@ fn arb_ppdc() -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
             (g, vec![h1, h2])
         },
     )
+}
+
+/// A random PPDC whose hosts mix single-homed (one ToR) and multi-homed
+/// attachments, over a switch spanning tree plus extra links. Link weights
+/// mix zero, small and heavy (up to 2^24) values; a 2^24 link under the
+/// 2^16 rates of the tests below stays far from the `INFINITY` sentinel,
+/// so every aggregate is finite and may be delta-fed.
+fn arb_racked_ppdc() -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
+    (2usize..7, 2usize..9, 0usize..4, any::<u64>()).prop_map(
+        |(switches, hosts, extra_edges, seed)| {
+            let mut g = Graph::new();
+            let sw: Vec<NodeId> = (0..switches)
+                .map(|i| g.add_switch(format!("s{i}")))
+                .collect();
+            let mut x = seed | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let weight = |r: u64| match r % 6 {
+                0 => 0,
+                1 => 1 << (16 + (r >> 8) % 9),
+                _ => 1 + (r >> 8) % 4,
+            };
+            for i in 1..switches {
+                let parent = (next() as usize) % i;
+                let w = weight(next());
+                g.add_edge(sw[i], sw[parent], w).unwrap();
+            }
+            for _ in 0..extra_edges {
+                let (a, b) = ((next() as usize) % switches, (next() as usize) % switches);
+                if a != b {
+                    let w = weight(next());
+                    let _ = g.add_edge(sw[a], sw[b], w);
+                }
+            }
+            let hs: Vec<NodeId> = (0..hosts)
+                .map(|i| {
+                    let h = g.add_host(format!("h{i}"));
+                    let tor = (next() as usize) % switches;
+                    let w = weight(next());
+                    g.add_edge(h, sw[tor], w).unwrap();
+                    // One host in three is multi-homed: a second uplink
+                    // breaks the ToR identity, so it keeps host-level terms.
+                    if next() % 3 == 0 {
+                        let other = (next() as usize) % switches;
+                        let w = weight(next());
+                        let _ = g.add_edge(h, sw[other], w);
+                    }
+                    h
+                })
+                .collect();
+            (g, hs)
+        },
+    )
+}
+
+/// `count` random flows between `hosts` with rates below 2^16, a third of
+/// them zero.
+fn random_flows(hosts: &[NodeId], count: usize, seed: u64) -> Workload {
+    let mut x = seed | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut w = Workload::new();
+    for _ in 0..count {
+        let a = hosts[(next() as usize) % hosts.len()];
+        let b = hosts[(next() as usize) % hosts.len()];
+        let rate = if next() % 3 == 0 {
+            0
+        } else {
+            next() % (1 << 16)
+        };
+        w.add_pair(a, b, rate);
+    }
+    w
+}
+
+/// The certificate as it was before the pruned scan, kept as the
+/// reference: an `O(m²)` `c_min` scan and an unpruned `O(m²)` pair scan.
+fn lower_bound_brute_force<D: DistanceOracle + ?Sized>(
+    dm: &D,
+    agg: &AttachAggregates,
+    sfc_len: usize,
+) -> u64 {
+    let switches = agg.switches();
+    if sfc_len == 0 || switches.len() < sfc_len {
+        return INFINITY;
+    }
+    if sfc_len == 1 {
+        return switches
+            .iter()
+            .map(|&x| sat_add(agg.a_in(x), agg.a_out(x)))
+            .min()
+            .unwrap_or(INFINITY);
+    }
+    let mut c_min = INFINITY;
+    for &i in switches {
+        for &j in switches {
+            if i != j {
+                c_min = c_min.min(dm.cost(i, j));
+            }
+        }
+    }
+    let seg_lb = sat_mul(sfc_len as u64 - 1, c_min);
+    let mut lb = u64::MAX;
+    for &i in switches {
+        for &j in switches {
+            if i != j {
+                let chain_lb = dm.cost(i, j).max(seg_lb);
+                let bound = sat_add(
+                    sat_add(agg.a_in(i), sat_mul(agg.total_rate(), chain_lb)),
+                    agg.a_out(j),
+                );
+                lb = lb.min(bound);
+            }
+        }
+    }
+    lb.min(INFINITY)
 }
 
 proptest! {
@@ -422,6 +548,175 @@ proptest! {
         let slow =
             AttachAggregates::build_restricted_flow_by_flow(&view, &dm, &w, &candidates);
         prop_assert!(fast.same_as(&slow));
+    }
+
+    /// The ToR-factored build equals the flow-by-flow oracle on fabrics
+    /// mixing single- and multi-homed hosts and zero/heavy links: over
+    /// all switches, over a random candidate subset, on a degraded view
+    /// that lost a switch-switch link, and on a view that lost a ToR
+    /// (partitioned: the host-level path, with stranded masses pinned at
+    /// `INFINITY`).
+    #[test]
+    fn tor_factored_build_equals_flow_by_flow(
+        (g, hosts) in arb_racked_ppdc(),
+        num_flows in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        let w = random_flows(&hosts, num_flows, seed);
+        let switches: Vec<NodeId> = g.switches().collect();
+        let subset: Vec<NodeId> = switches
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(i, _)| (seed >> (i % 64)) & 1 == 1)
+            .map(|(_, s)| s)
+            .collect();
+        let dm = DistanceMatrix::build(&g);
+        for cands in [&switches, &subset] {
+            let fast = AttachAggregates::build_restricted(&g, &dm, &w, cands);
+            let slow = AttachAggregates::build_restricted_flow_by_flow(&g, &dm, &w, cands);
+            prop_assert!(fast.same_as(&slow), "healthy, {} candidates", cands.len());
+        }
+        // Lose one switch-switch link: the factored path if the fabric
+        // stays connected, the host-level path if it splits.
+        let links: Vec<usize> = g
+            .edges()
+            .enumerate()
+            .filter(|&(_, (u, v, _))| g.kind(u) == g.kind(v))
+            .map(|(i, _)| i)
+            .collect();
+        if !links.is_empty() {
+            let mut faults = FaultSet::new(&g);
+            faults.fail_edge(EdgeId(links[(seed as usize) % links.len()] as u32)).unwrap();
+            let view = g.degraded_view(&faults);
+            let dm = DistanceMatrix::build(&view);
+            let fast = AttachAggregates::build(&view, &dm, &w);
+            prop_assert!(fast.same_as(&AttachAggregates::build_flow_by_flow(&view, &dm, &w)));
+        }
+        // Fail a ToR of some host: its single-homed hosts are stranded.
+        let tor = g.top_of_rack(hosts[(seed as usize >> 8) % hosts.len()]).unwrap();
+        let mut faults = FaultSet::new(&g);
+        faults.fail_node(tor).unwrap();
+        let view = g.degraded_view(&faults);
+        let dm = DistanceMatrix::build(&view);
+        prop_assert!(!dm.all_connected());
+        let alive: Vec<NodeId> = switches.iter().copied().filter(|&s| s != tor).collect();
+        let fast = AttachAggregates::build_restricted(&view, &dm, &w, &alive);
+        let slow = AttachAggregates::build_restricted_flow_by_flow(&view, &dm, &w, &alive);
+        prop_assert!(fast.same_as(&slow), "failed ToR");
+    }
+
+    /// Folding random delta batches — with in-batch overshoot and
+    /// cancellation — through both the per-flow entry
+    /// (`apply_rate_deltas`) and the pre-grouped per-host entry
+    /// (`try_apply_mass_deltas`) equals a fresh build at the new rates,
+    /// epoch after epoch, on the factored path and on a partitioned
+    /// oracle (an isolated spare switch: the host-level path).
+    #[test]
+    fn tor_factored_fold_equals_rebuild(
+        (g, hosts) in arb_racked_ppdc(),
+        num_flows in 1usize..20,
+        n_epochs in 1usize..5,
+        partitioned in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use ppdc::model::FlowId;
+        use ppdc::placement::HostMassDelta;
+        use std::collections::BTreeMap;
+        let mut g = g;
+        let switches: Vec<NodeId> = g.switches().collect();
+        if partitioned {
+            g.add_switch("spare");
+        }
+        let dm = DistanceMatrix::build(&g);
+        prop_assert_eq!(dm.all_connected(), !partitioned);
+        let mut w = random_flows(&hosts, num_flows, seed);
+        let mut by_flow = AttachAggregates::build_restricted(&g, &dm, &w, &switches);
+        let mut by_mass = by_flow.clone();
+        let mut x = seed.rotate_left(17) | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        for epoch in 0..n_epochs {
+            let mut deltas: Vec<(FlowId, i64)> = Vec::new();
+            for f in w.flow_ids().collect::<Vec<_>>() {
+                let new = if next() % 4 == 0 { w.rate(f) } else { next() % (1 << 16) };
+                let d = new as i64 - w.rate(f) as i64;
+                // Overshoot then compensate inside the batch.
+                if next() % 3 == 0 {
+                    let spike = (next() % (1 << 20)) as i64;
+                    deltas.push((f, spike));
+                    deltas.push((f, d - spike));
+                } else {
+                    deltas.push((f, d));
+                }
+                w.set_rate(f, new);
+            }
+            let mut per_host: BTreeMap<NodeId, (i128, i128)> = BTreeMap::new();
+            for &(f, d) in &deltas {
+                let (src, dst) = w.endpoints(f);
+                per_host.entry(src).or_default().0 += i128::from(d);
+                per_host.entry(dst).or_default().1 += i128::from(d);
+            }
+            let masses: Vec<HostMassDelta> = per_host
+                .into_iter()
+                .map(|(host, (d_out, d_in))| HostMassDelta { host, d_out, d_in })
+                .collect();
+            let total: i128 = deltas.iter().map(|&(_, d)| i128::from(d)).sum();
+            by_flow.apply_rate_deltas(&dm, &w, &deltas);
+            by_mass.try_apply_mass_deltas(&dm, &masses, total).unwrap();
+            let rebuilt = AttachAggregates::build_restricted(&g, &dm, &w, &switches);
+            prop_assert!(by_flow.same_as(&rebuilt), "epoch {}: per-flow fold drifted", epoch);
+            prop_assert!(by_mass.same_as(&rebuilt), "epoch {}: per-host fold drifted", epoch);
+        }
+    }
+
+    /// The pruned certificate (cached `c_min`, egress scan in ascending
+    /// `A_out` order with an exact floor) equals the unpruned `O(m²)`
+    /// reference for `n = 1..5`, with zero total rate, and with candidates
+    /// partitioned off at `INFINITY` — also after a fold, when the cached
+    /// `c_min` is reused against new aggregates.
+    #[test]
+    fn pruned_lower_bound_equals_brute_force(
+        (g, hosts) in arb_racked_ppdc(),
+        num_flows in 1usize..16,
+        zero_rate in any::<bool>(),
+        partition in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut w = random_flows(&hosts, num_flows, seed);
+        if zero_rate {
+            w.set_rates(&vec![0; w.num_flows()]).unwrap();
+        }
+        let mut g = g;
+        if partition {
+            // Isolated candidates: every distance to them is INFINITY.
+            g.add_switch("island0");
+            g.add_switch("island1");
+        }
+        let dm = DistanceMatrix::build(&g);
+        let mut agg = AttachAggregates::build(&g, &dm, &w);
+        for n in 1..=5 {
+            prop_assert_eq!(
+                placement_cost_lower_bound(&dm, &agg, n),
+                lower_bound_brute_force(&dm, &agg, n),
+                "n = {}", n
+            );
+        }
+        // Partitioned aggregates hold `INFINITY` entries, which the fold
+        // contract excludes; only the healthy ones are folded.
+        if !partition {
+            let deltas: Vec<_> = w.flow_ids().map(|f| (f, (seed % 1_000) as i64)).collect();
+            for &(f, d) in &deltas {
+                w.set_rate(f, w.rate(f) + d as u64);
+            }
+            agg.apply_rate_deltas(&dm, &w, &deltas);
+            for n in 1..=5 {
+                prop_assert_eq!(
+                    placement_cost_lower_bound(&dm, &agg, n),
+                    lower_bound_brute_force(&dm, &agg, n),
+                    "after a fold, n = {}", n
+                );
+            }
+        }
     }
 
     /// The INFINITY sentinel is exactly the cross-component indicator on a
