@@ -61,19 +61,19 @@ echo "==> metrics schema check (ppdc-obs/v1 phase keys)"
 cargo run --release -p ppdc-experiments -- --check-metrics target/ci-metrics.json
 
 # Wall-clock budgets sit at about 3x the medians measured on a 2-vCPU box:
-# smoke-k32 3.6 s (3.57-3.63 s), stream day 6.5 s (6.1-6.6 s),
-# stream --churned 4.8 s (4.6-4.9 s) with a warm re-solve mean of 25-27 ms.
-echo "==> k=32 oracle smoke (1,280 switches, no dense matrix, 11s budget)"
-cargo run --release -p ppdc-experiments -- smoke-k32 --budget-ms 11000
+# smoke-k32 0.74 s (0.67-1.19 s), stream day 2.8 s (2.7-2.9 s),
+# stream --churned 1.7 s (1.6-1.9 s) with a warm re-solve mean of 17-21 ms.
+echo "==> k=32 oracle smoke (1,280 switches, no dense matrix, 2.5s budget)"
+cargo run --release -p ppdc-experiments -- smoke-k32 --budget-ms 2500
 
 echo "==> chaos smoke (64 seeded trials: crashes, torn checkpoints, starvation)"
 cargo run --release -p ppdc-experiments -- chaos --trials 64 --seed 1
 
 echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants)"
-cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 15000
+cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 8500
 
 echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"
-cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 14500 --warm-ms 90
+cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 5500 --warm-ms 60
 
 echo "==> bench smoke (oracle + placement + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl

@@ -7,7 +7,7 @@
 //!
 //! Because the stroll DP's tables depend only on the *target*, all
 //! ingresses for one egress share a single table; egress switches are
-//! processed in parallel with rayon.
+//! shared out to worker threads (see *Scheduling* below).
 //!
 //! # Branch-and-bound sweep
 //!
@@ -29,6 +29,27 @@
 //! `lb ≤ cost = optimum ≤ incumbent` at every point in time, so no
 //! cost-optimal candidate is ever pruned and the deterministic
 //! lexicographic tie-break sees exactly the same contenders.
+//!
+//! # Scheduling
+//!
+//! [`SweepCtx::run_sweep`] spawns [`rayon::current_num_threads`] workers
+//! over the ascending `(bound, egress)` order. Each pulls its next entry
+//! through one shared atomic cursor, so the head of the order — the
+//! egresses that survive pruning — spreads over every worker, instead of
+//! one worker getting all of it while another finds its contiguous
+//! worst-bound half pruned. A worker stops at the first entry whose bound
+//! strictly exceeds the incumbent: the order ascends and the incumbent
+//! only falls, so every later entry would be pruned too.
+//!
+//! Each worker keeps its own lexicographic best `(cost, switches)`, and
+//! the result is the least of those. It does not depend on how many
+//! workers ran or in which order they visited the egresses: every
+//! cost-optimal candidate survives pruning whatever the incumbent's
+//! history (the strictness argument above), every surviving egress's
+//! local minimum is taken over a set that contains all of its optimal
+//! rows, and the least element of a total order is the same however the
+//! candidates are split among workers (DESIGN.md §5b). Only the prune
+//! counters move with thread timing.
 //!
 //! # Orbit compression
 //!
@@ -70,9 +91,10 @@
 //! construction. Only the `n ≤ 2` closed forms (`closed_form`) bypass
 //! the session.
 //!
-//! All per-egress state (stroll tables, candidate chains) lives in
-//! per-worker thread-local scratch reused across egresses and epochs, so
-//! the steady-state sweep allocates nothing but the final placement.
+//! All per-egress state (stroll tables, candidate chains) lives in one
+//! scratch per worker, owned by its loop and reused across every egress
+//! it pulls; a sweep allocates that scratch once per worker plus each
+//! surviving egress's best placement.
 //!
 //! Every distance is consumed through [`DistanceOracle`], so the sweep
 //! runs identically over a dense [`ppdc_topology::DistanceMatrix`] or the
@@ -88,17 +110,11 @@ use ppdc_topology::{
     sat_add, sat_mul, Cost, DistanceOracle, Graph, MetricClosure, NodeId, INFINITY,
 };
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-thread_local! {
-    /// Per-worker sweep scratch: stroll tables and chain buffers reused
-    /// across egresses and epochs.
-    static EGRESS_SCRATCH: RefCell<EgressScratch> = RefCell::new(EgressScratch::default());
-}
-
-/// Reused buffers for one egress worker: the batch stroll solver plus the
+/// Reused buffers for one sweep worker, owned by its loop and reused
+/// across every egress it pulls: the batch stroll solver plus the
 /// candidate/best chain scratch the rows are priced through.
 #[derive(Default)]
 struct EgressScratch {
@@ -707,8 +723,12 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
                 }
                 let cost = self.agg.comm_cost_switches(self.dm, &scratch.chain);
                 // AcqRel publishes the tighter bound to sibling workers as
-                // soon as they next load it — pruning stays monotone.
-                self.incumbent.fetch_min(cost, Ordering::AcqRel);
+                // soon as they next load it — pruning stays monotone. Only
+                // a lower cost writes: a no-op read-modify-write would still
+                // pull the shared line away from the other workers.
+                if cost < self.incumbent.load(Ordering::Acquire) {
+                    self.incumbent.fetch_min(cost, Ordering::AcqRel);
+                }
                 let better = match best_cost {
                     None => true,
                     Some(c) => {
@@ -730,52 +750,107 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
         best_cost.map(|c| (c, Placement::new_unchecked(scratch.best_chain.clone())))
     }
 
-    /// Runs the parallel egress sweep over a pre-sorted `(bound, t_ix)`
-    /// order and reduces to the lexicographically-least optimum. The order
-    /// must come from [`egress_order`] (possibly with the seeded session's
-    /// filter applied — dropping entries whose bound exceeds the seeded
-    /// incumbent is behavior-identical to pruning them here, because the
-    /// incumbent only falls).
+    /// Runs the egress sweep over a pre-sorted `(bound, t_ix)` order on
+    /// `workers` threads (at least one, at most one per entry) and reduces
+    /// to the lexicographically-least optimum. The order must come from
+    /// [`egress_order`] (possibly with the seeded session's filter applied
+    /// — dropping entries whose bound exceeds the seeded incumbent is
+    /// behavior-identical to pruning them here, because the incumbent only
+    /// falls).
+    ///
+    /// Every worker pulls the next entry through one shared cursor, so the
+    /// best-bound egresses at the head of the order spread over all workers
+    /// instead of landing on the first one. The result depends neither on
+    /// `workers` nor on the visit order (see the module docs).
     pub(crate) fn run_sweep(
         &self,
         order: &[(Cost, usize)],
+        workers: usize,
     ) -> Result<(Placement, Cost), PlacementError> {
-        // The vendored rayon parallelizes owned `Vec`s only; one m-entry
-        // copy per solve is noise next to the stroll fills behind it.
-        let results: Vec<Option<(Cost, Placement)>> = order
-            .to_vec()
-            .into_par_iter()
-            .map(|(bound, t_ix)| {
-                if bound > self.incumbent.load(Ordering::Acquire) {
-                    let obs = ppdc_obs::global();
-                    obs.add(ppdc_obs::names::SOLVER_DP_EGRESS_PRUNED, 1);
-                    if self.class_size[t_ix] > 1 {
-                        // The bound that killed this egress was computed
-                        // once for its whole class.
-                        obs.add(ppdc_obs::names::SOLVER_DP_ORBIT_PRUNED, 1);
-                    }
-                    return None;
-                }
-                EGRESS_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-                    Ok(mut scratch) => self.best_for_egress(t_ix, &mut scratch),
-                    // Re-entrant worker on this thread (no such path
-                    // today): fresh scratch instead of a borrow panic.
-                    Err(_) => self.best_for_egress(t_ix, &mut EgressScratch::default()),
-                })
+        let cursor = AtomicUsize::new(0);
+        let workers = workers.clamp(1, order.len().max(1));
+        let outcomes: Vec<WorkerOutcome> = if workers == 1 {
+            vec![self.sweep_worker(order, &cursor)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| scope.spawn(|| self.sweep_worker(order, &cursor)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
             })
-            .collect();
-        results
+        };
+        // Every entry was either solved by one worker or pruned.
+        let solved: usize = outcomes.iter().map(|o| o.solved).sum();
+        let solved_orbit: usize = outcomes.iter().map(|o| o.solved_orbit).sum();
+        let orbit = order
+            .iter()
+            .filter(|&&(_, t_ix)| self.class_size[t_ix] > 1)
+            .count();
+        let obs = ppdc_obs::global();
+        let pruned = order.len() - solved;
+        if pruned > 0 {
+            let pruned = u64::try_from(pruned).unwrap_or(u64::MAX);
+            obs.add(ppdc_obs::names::SOLVER_DP_EGRESS_PRUNED, pruned);
+        }
+        // The bound that killed an egress of a multi-member class was
+        // computed once for its whole class.
+        let orbit_pruned = orbit - solved_orbit;
+        if orbit_pruned > 0 {
+            let orbit_pruned = u64::try_from(orbit_pruned).unwrap_or(u64::MAX);
+            obs.add(ppdc_obs::names::SOLVER_DP_ORBIT_PRUNED, orbit_pruned);
+        }
+        outcomes
             .into_iter()
-            .flatten()
-            .min_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then_with(|| a.1.switches().cmp(b.1.switches()))
-            })
+            .filter_map(|o| o.best)
+            .min_by(lex_cmp)
             .map(|(c, p)| (p, c))
             .ok_or(PlacementError::Stroll(
                 ppdc_stroll::StrollError::Unreachable,
             ))
     }
+
+    /// One sweep worker: pulls `(bound, t_ix)` entries through `cursor`
+    /// until the order runs out or an entry's bound strictly exceeds the
+    /// incumbent. The order ascends and the incumbent only falls, so every
+    /// later entry — this worker's or a sibling's — would be pruned too.
+    fn sweep_worker(&self, order: &[(Cost, usize)], cursor: &AtomicUsize) -> WorkerOutcome {
+        let mut scratch = EgressScratch::default();
+        let mut out = WorkerOutcome::default();
+        loop {
+            let Some(&(bound, t_ix)) = order.get(cursor.fetch_add(1, Ordering::AcqRel)) else {
+                return out;
+            };
+            if bound > self.incumbent.load(Ordering::Acquire) {
+                return out;
+            }
+            out.solved += 1;
+            out.solved_orbit += usize::from(self.class_size[t_ix] > 1);
+            if let Some(cand) = self.best_for_egress(t_ix, &mut scratch) {
+                if out.best.as_ref().is_none_or(|b| lex_cmp(&cand, b).is_lt()) {
+                    out.best = Some(cand);
+                }
+            }
+        }
+    }
+}
+
+/// What one sweep worker leaves behind: its lexicographic best candidate
+/// and how many order entries it solved (the rest of the order was pruned).
+#[derive(Default)]
+struct WorkerOutcome {
+    best: Option<(Cost, Placement)>,
+    solved: usize,
+    /// Solved entries whose egress class has more than one member.
+    solved_orbit: usize,
+}
+
+/// The sweep's total order on candidates: cost, then switch sequence.
+fn lex_cmp(a: &(Cost, Placement), b: &(Cost, Placement)) -> std::cmp::Ordering {
+    a.0.cmp(&b.0)
+        .then_with(|| a.1.switches().cmp(b.1.switches()))
 }
 
 /// The pre-pruning exhaustive (ingress, egress) sweep, kept verbatim as the
@@ -813,10 +888,7 @@ pub fn dp_placement_exhaustive_with_agg<D: DistanceOracle + ?Sized>(
         .collect();
     results
         .into_iter()
-        .min_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| a.1.switches().cmp(b.1.switches()))
-        })
+        .min_by(lex_cmp)
         .map(|(c, p)| (p, c))
         .ok_or(PlacementError::Stroll(
             ppdc_stroll::StrollError::Unreachable,

@@ -23,7 +23,7 @@
 //!    reuses everything verbatim.
 //! 3. **Dirty-row egress sweep** — with a seeded incumbent, cached order
 //!    entries whose bound already exceeds the seed are dropped before the
-//!    parallel sweep even spawns them.
+//!    sweep's workers see them.
 //! 4. **Interior-chain memoization** — the stroll DP filling a chain's
 //!    interior is a function of the metric closure alone (fixed while
 //!    the session is valid); the aggregates only price the finished
@@ -280,7 +280,7 @@ pub fn dp_placement_warm<D: DistanceOracle + ?Sized>(
     let result = if n < 3 {
         closed_form(dm, agg, n)
     } else {
-        cache.solve(dm, agg, n, incumbent)
+        cache.solve(dm, agg, n, incumbent, rayon::current_num_threads())
     };
     // `strict-invariants` contract: Algorithm 3 must return an injective
     // placement (one VNF per switch, footnote 3 of the paper) whose
@@ -302,14 +302,16 @@ pub fn dp_placement_warm<D: DistanceOracle + ?Sized>(
 }
 
 impl BoundCache {
-    /// The `n ≥ 3` branch-and-bound sweep over the refreshed session,
-    /// seeded with `incumbent` when it is feasible now.
+    /// The `n ≥ 3` branch-and-bound sweep over the refreshed session on
+    /// `workers` sweep threads, seeded with `incumbent` when it is
+    /// feasible now.
     fn solve<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
         agg: &AttachAggregates,
         n: usize,
         incumbent: Option<&Placement>,
+        workers: usize,
     ) -> Result<(Placement, Cost), PlacementError> {
         self.refresh(dm, agg, n);
         let obs = ppdc_obs::global();
@@ -337,13 +339,13 @@ impl BoundCache {
             incumbent: AtomicU64::new(seed.unwrap_or(u64::MAX)),
         };
         let Some(ub) = seed else {
-            return ctx.run_sweep(&self.order);
+            return ctx.run_sweep(&self.order, workers);
         };
         obs.add(obs_names::SOLVER_WARM_SEEDED, 1);
         // Dirty-row egress sweep: an order entry whose cached bound
         // strictly exceeds the seed would be pruned at its first atomic
         // load anyway (the incumbent only falls from the seed), so it is
-        // dropped before spawning its task. The sweep's own prune
+        // dropped before the sweep starts. The sweep's own prune
         // counters are kept in step so seeded and unseeded runs report
         // comparable totals.
         let live: Vec<(Cost, usize)> = self
@@ -367,7 +369,7 @@ impl BoundCache {
                 u64::try_from(orbit).unwrap_or(u64::MAX),
             );
         }
-        ctx.run_sweep(&live)
+        ctx.run_sweep(&live, workers)
     }
 }
 
@@ -527,6 +529,55 @@ mod tests {
             let mut cache = BoundCache::new();
             let (wp, wc) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, Some(p)).unwrap();
             assert_eq!((wc, wp.switches()), (cc, cp.switches()));
+        }
+    }
+
+    /// A random workload of `flows` host pairs on `g`, rates 1..=64.
+    fn random_workload(g: &Graph, flows: usize, seed: u64) -> Workload {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut w = Workload::new();
+        for _ in 0..flows {
+            let a = hosts[rng.gen_range(0..hosts.len())];
+            let b = hosts[rng.gen_range(0..hosts.len())];
+            w.add_pair(a, b, rng.gen_range(1u64..=64));
+        }
+        w
+    }
+
+    proptest::proptest! {
+        // Each case runs four exhaustive k = 16 sweeps (about 15 s in a
+        // debug build): one case per run, a new one under each seed.
+        #![proptest_config(proptest::test_runner::ProptestConfig::env_or(1))]
+
+        /// The shared-cursor sweep returns the exhaustive optimum — cost
+        /// and switch tie-break — however many workers pull from it.
+        #[test]
+        fn sweep_is_invariant_to_worker_count(seed in proptest::arbitrary::any::<u64>()) {
+            for k in [8usize, 16] {
+                let ft = ppdc_topology::FatTree::build(k).unwrap();
+                let oracle = ppdc_topology::FatTreeOracle::new(&ft);
+                let g = ft.graph();
+                let w = random_workload(g, 3 * k, seed ^ k as u64);
+                let agg = AttachAggregates::build(g, &oracle, &w);
+                for n in 3..=6usize {
+                    let sfc = Sfc::of_len(n).unwrap();
+                    let (p_ex, c_ex) =
+                        dp_placement_exhaustive_with_agg(g, &oracle, &w, &sfc, &agg).unwrap();
+                    for workers in [1usize, 2, 3, 8] {
+                        let (p, c) = BoundCache::new().solve(&oracle, &agg, n, None, workers).unwrap();
+                        proptest::prop_assert_eq!(
+                            (c, p.switches()),
+                            (c_ex, p_ex.switches()),
+                            "k={} n={} workers={}",
+                            k,
+                            n,
+                            workers
+                        );
+                    }
+                }
+            }
         }
     }
 }

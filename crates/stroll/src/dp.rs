@@ -16,6 +16,32 @@
 //! The tables are keyed by the *target* only, so one table answers stroll
 //! queries for **every source** — the TOP placement algorithm (Algorithm 3)
 //! exploits this to amortize its `O(|V_s|²)` ingress/egress enumeration.
+//!
+//! # The level kernel
+//!
+//! Level `e` is one `O(m²)` min-plus product of the closure with level
+//! `e − 1`: `cost(u, e) = min_v c(u, v) + cost(v, e − 1)` over the allowed
+//! successors `v`. Three kinds of `v` are never allowed: the target
+//! mid-walk, `u` itself, and the *backtrack set* `{v : succ(v, e − 1) = u}`.
+//! Instead of testing those per `(u, v)` pair, [`DpTables`] copies level
+//! `e − 1` once, sets the target and every unreachable entry to the
+//! sentinel, and for each row `u` masks only `u` and its backtrack set
+//! (found through an inverse-successor list, so all masking is `O(m)` per
+//! level). The row itself is then two branch-free passes over
+//! `closure.row(u)`: a saturating `min` fold, and a first-position scan
+//! that returns the **lowest-index** argmin — the same tie-break as a
+//! scalar loop that keeps the first strict improvement.
+//!
+//! # Tie-breaking key
+//!
+//! On unweighted fabrics the minimum-cost strolls of one edge count are
+//! massively degenerate, and a fixed tie-break can cycle through the same
+//! few switches forever. Retries therefore run the same kernel over a
+//! [`TieBrokenClosure`], whose key orders strolls **lexicographically by
+//! (true cost, sum of per-edge tie hashes)** ([`TieKey`]). A hash can
+//! reorder only strolls of equal true cost, at any edge weight: the key
+//! keeps the cost in its own 64-bit half instead of scaling it, so heavy
+//! fabrics neither overflow nor cross the [`INFINITY`] sentinel.
 
 use crate::instance::{StrollInstance, StrollSolution};
 use crate::StrollError;
@@ -23,50 +49,129 @@ use ppdc_topology::{Cost, MetricClosure, INFINITY};
 
 const NO_SUCC: usize = usize::MAX;
 
+/// A stroll-cost key the DP minimises: a total order plus a sum.
+pub trait StrollKey: Copy + Ord + Default + std::fmt::Debug {
+    /// The unreachable sentinel: every key at or above it is "no stroll".
+    const UNREACHABLE: Self;
+    /// The key of a stroll extended by one edge. Never wraps and never
+    /// traps on the keys the DP adds (any weight, and a table entry at most
+    /// [`StrollKey::UNREACHABLE`]), so a sum past the sentinel stays past
+    /// it.
+    fn plus(self, other: Self) -> Self;
+}
+
+impl StrollKey for Cost {
+    const UNREACHABLE: Cost = INFINITY;
+    #[inline]
+    fn plus(self, other: Cost) -> Cost {
+        self.saturating_add(other)
+    }
+}
+
+/// The tie-broken key `(true cost, tie-hash sum)`, packed as
+/// `cost · 2⁶⁴ + hash sum` so that one `u128` comparison is the
+/// lexicographic one. Hash sums stay far below 2⁶⁴ (each edge adds at most
+/// [`PERTURB_MASK`]), so they never carry into the cost half; the key is
+/// unreachable exactly when its cost half is at least [`INFINITY`].
+///
+/// Keys are only minted by [`TieBrokenClosure`], which clamps every weight
+/// at the sentinel, and the tables clamp every level, so both operands of
+/// [`StrollKey::plus`] are at most `UNREACHABLE < 2¹²⁶`: their sum is below
+/// 2¹²⁷ and a plain add cannot wrap (a saturating `u128` add made the
+/// kernel's `min` fold about 1.7× slower in a micro-benchmark).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TieKey(u128);
+
+impl TieKey {
+    fn new(cost: Cost, hash: Cost) -> Self {
+        TieKey((u128::from(cost) << 64) | u128::from(hash))
+    }
+}
+
+impl StrollKey for TieKey {
+    /// `(INFINITY, 0)`: `u128::MAX >> 64` is `u64::MAX` widened, and
+    /// [`INFINITY`] is `u64::MAX / 4`.
+    const UNREACHABLE: TieKey = TieKey(((u128::MAX >> 64) / 4) << 64);
+    #[inline]
+    fn plus(self, other: TieKey) -> TieKey {
+        TieKey(self.0.wrapping_add(other.0))
+    }
+}
+
+/// The complete-graph edge weights a [`DpTables`] grows over, row by row.
+pub trait StrollWeights {
+    /// The key the DP minimises.
+    type Key: StrollKey;
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// The weights out of node `u`, one per node (`node_count()` entries).
+    fn row(&self, u: usize) -> &[Self::Key];
+}
+
+impl StrollWeights for MetricClosure {
+    type Key = Cost;
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+    fn row(&self, u: usize) -> &[Cost] {
+        MetricClosure::row(self, u)
+    }
+}
+
 /// Per-target DP tables for Algorithm 2, grown lazily one edge-count level
-/// at a time.
+/// at a time, over weights keyed by `K` ([`Cost`] for the plain closure,
+/// [`TieKey`] for a tie-breaking retry).
 ///
 /// Both tables live in single flat arenas indexed `(e - 1) * m + u` — one
 /// allocation each, reused level after level and (via [`DpTables::reset`])
 /// egress after egress, so the inner DP loop walks contiguous memory and
 /// the placement sweep stops paying a pair of `Vec` allocations per level
-/// per egress.
+/// per egress. The level kernel's masked row and inverse-successor lists
+/// are reused the same way.
 #[derive(Debug, Clone, Default)]
-pub struct DpTables {
+pub struct DpTables<K = Cost> {
     m: usize,
     t: usize,
     /// Number of edge-count levels currently materialized.
     levels: usize,
-    /// `cost[(e-1)*m + u]` = min cost of a `u → t` stroll with exactly `e`
+    /// `cost[(e-1)*m + u]` = min key of a `u → t` stroll with exactly `e`
     /// edges.
-    cost: Vec<Cost>,
+    cost: Vec<K>,
     /// `succ[(e-1)*m + u]` = the next node after `u` on that stroll.
     succ: Vec<usize>,
+    /// Kernel scratch: the previous level's keys with every never-allowed
+    /// successor set to the sentinel.
+    masked: Vec<K>,
+    /// Kernel scratch: inverse-successor lists as linked lists,
+    /// `back_head[u]` the first `v` with `succ(v) = u` and `back_next[v]`
+    /// the next one.
+    back_head: Vec<usize>,
+    back_next: Vec<usize>,
 }
 
-impl DpTables {
+impl<K: StrollKey> DpTables<K> {
     /// Initializes tables for target closure-index `t` (level `e = 1`).
-    pub fn new(closure: &MetricClosure, t: usize) -> Self {
+    pub fn new<W: StrollWeights<Key = K>>(weights: &W, t: usize) -> Self {
         let mut tables = DpTables::default();
-        tables.reset(closure, t);
+        tables.reset(weights, t);
         tables
     }
 
     /// Re-targets the tables at closure-index `t`, truncating back to
-    /// level `e = 1` while keeping both arena allocations. This is what
+    /// level `e = 1` while keeping every arena allocation. This is what
     /// lets one scratch `DpTables` serve every egress of Algorithm 3.
-    pub fn reset(&mut self, closure: &MetricClosure, t: usize) {
-        let m = closure.len();
+    pub fn reset<W: StrollWeights<Key = K>>(&mut self, weights: &W, t: usize) {
+        let m = weights.node_count();
         self.m = m;
         self.t = t;
         self.levels = 1;
         self.cost.clear();
-        self.cost.resize(m, INFINITY);
+        self.cost.resize(m, K::UNREACHABLE);
         self.succ.clear();
         self.succ.resize(m, NO_SUCC);
         for u in 0..m {
             if u != t {
-                self.cost[u] = closure.cost_ix(u, t);
+                self.cost[u] = weights.row(u)[t];
                 self.succ[u] = t;
             }
         }
@@ -83,58 +188,99 @@ impl DpTables {
     }
 
     /// Grows the tables until level `e` exists.
-    pub fn grow_to(&mut self, closure: &MetricClosure, e: usize) {
+    pub fn grow_to<W: StrollWeights<Key = K>>(&mut self, weights: &W, e: usize) {
         while self.levels < e {
-            self.extend(closure);
+            self.extend(weights);
         }
     }
 
-    /// Adds one more edge-count level. `new`/`reset` seed level 1, so the
-    /// tables are never empty here.
-    fn extend(&mut self, closure: &MetricClosure) {
-        let m = self.m;
+    /// Adds one more edge-count level with the masked kernel of the module
+    /// docs. `new`/`reset` seed level 1, so the tables are never empty here.
+    fn extend<W: StrollWeights<Key = K>>(&mut self, weights: &W) {
+        let (m, t) = (self.m, self.t);
+        let unreachable = K::UNREACHABLE;
         let filled = self.levels * m;
-        self.cost.resize(filled + m, INFINITY);
+        self.cost.resize(filled + m, unreachable);
         self.succ.resize(filled + m, NO_SUCC);
         let (prev_c, cur_c) = self.cost.split_at_mut(filled);
         let prev_c = &prev_c[filled - m..];
         let (prev_s, cur_s) = self.succ.split_at_mut(filled);
         let prev_s = &prev_s[filled - m..];
-        for u in 0..m {
-            let mut best = INFINITY;
-            let mut best_v = NO_SUCC;
-            for v in 0..m {
-                // v is the next node: not u itself, not the target
-                // mid-walk, and not an immediate backtrack (the stroll from
-                // v must not hop straight back to u).
-                if v == u || v == self.t || prev_s[v] == u {
-                    continue;
-                }
-                if prev_c[v] >= INFINITY {
-                    continue;
-                }
-                let cand = closure.cost_ix(u, v) + prev_c[v];
-                if cand < best {
-                    best = cand;
-                    best_v = v;
-                }
+
+        // What row `u` sees at `v` when `v` is allowed: the target is never
+        // a mid-walk successor, and an unreachable suffix is no candidate.
+        let open = |v: usize| {
+            if v == t {
+                unreachable
+            } else {
+                prev_c[v].min(unreachable)
             }
+        };
+        let masked = &mut self.masked;
+        masked.clear();
+        masked.extend((0..m).map(open));
+
+        // Backtrack sets {v : prev_s[v] = u}, one linked list per `u`;
+        // they partition the nodes, so masking them costs O(m) per level.
+        let (head, next) = (&mut self.back_head, &mut self.back_next);
+        head.clear();
+        head.resize(m, NO_SUCC);
+        next.clear();
+        next.resize(m, NO_SUCC);
+        for v in (0..m).rev() {
+            if let Some(h) = head.get_mut(prev_s[v]) {
+                next[v] = *h;
+                *h = v;
+            }
+        }
+        let (head, next) = (&*head, &*next);
+        let backtrack = |u: usize| {
+            std::iter::successors(Some(head[u]), |&v| next.get(v).copied())
+                .take_while(|&v| v != NO_SUCC)
+        };
+
+        for u in 0..m {
+            masked[u] = unreachable;
+            for v in backtrack(u) {
+                masked[v] = unreachable;
+            }
+            let row = weights.row(u);
+            debug_assert_eq!(row.len(), m, "weight row length");
+            let best = row
+                .iter()
+                .zip(masked.iter())
+                .fold(unreachable, |best, (&c, &p)| best.min(c.plus(p)));
+            // The first position reaching the minimum: the lowest-index
+            // argmin, as a scalar loop keeping strict improvements picks.
+            let best_v = if best < unreachable {
+                row.iter()
+                    .zip(masked.iter())
+                    .position(|(&c, &p)| c.plus(p) == best)
+                    .unwrap_or(NO_SUCC)
+            } else {
+                NO_SUCC
+            };
             cur_c[u] = best;
             cur_s[u] = best_v;
+            masked[u] = open(u);
+            for v in backtrack(u) {
+                masked[v] = open(v);
+            }
         }
         self.levels += 1;
     }
 
-    /// Cost of the best `e`-edge stroll from `u` to the target
-    /// ([`INFINITY`] if none exists). Level `e` must have been grown.
-    pub fn cost(&self, u: usize, e: usize) -> Cost {
+    /// Key of the best `e`-edge stroll from `u` to the target (at or above
+    /// [`StrollKey::UNREACHABLE`] if none exists). Level `e` must have
+    /// been grown.
+    pub fn cost(&self, u: usize, e: usize) -> K {
         self.cost[(e - 1) * self.m + u]
     }
 
     /// Reconstructs the `e`-edge stroll from `s` as closure indices
     /// (including both endpoints). Returns `None` if no stroll exists.
     pub fn reconstruct(&self, s: usize, e: usize) -> Option<Vec<usize>> {
-        if self.cost(s, e) >= INFINITY {
+        if self.cost(s, e) >= K::UNREACHABLE {
             return None;
         }
         let mut walk = Vec::with_capacity(e + 1);
@@ -167,7 +313,7 @@ impl DpTables {
             let global_min = (0..self.m)
                 .map(|u| self.cost(u, suffix_edges))
                 .min()
-                .unwrap_or(INFINITY);
+                .unwrap_or(K::UNREACHABLE);
             if suffix_cost != global_min {
                 return false;
             }
@@ -188,10 +334,8 @@ fn max_edges(n: usize) -> usize {
 /// Tie-breaking attempts before giving up (attempt 0 is unperturbed).
 const MAX_ATTEMPTS: u64 = 8;
 
-/// Cost scale for tie-breaking perturbations: real cost differences are
-/// ≥ 1, so scaling by 2²⁰ and adding hashes < 2¹² per edge (≤ ~50 edges
-/// per stroll) can never reorder strolls of different true cost.
-const PERTURB_SCALE: Cost = 1 << 20;
+/// Per-edge tie hashes are below 2¹², so a hash sum over any stroll the
+/// DP grows stays far inside the low half of a [`TieKey`].
 const PERTURB_MASK: Cost = 0xFFF;
 
 /// A deterministic per-(attempt, edge) hash for tie-breaking.
@@ -209,21 +353,47 @@ fn perturb_hash(attempt: u64, i: usize, j: usize) -> Cost {
     x & PERTURB_MASK
 }
 
-/// A scaled copy of the closure whose ties are broken by per-edge hashes.
+/// A closure whose ties are broken by per-edge hashes: edge `(i, j)` is
+/// keyed `(c(i, j), hash(attempt, i, j))`.
 ///
-/// On unweighted fabrics the minimum-cost fixed-edge-count strolls are
-/// massively degenerate and a fixed tie-break can cycle through the same
-/// few switches forever; the perturbation selects one stroll per attempt
-/// pseudo-randomly *among the true minimum-cost strolls*, so a handful of
-/// attempts finds one spanning `n` distinct switches whenever one exists.
-pub fn perturbed_closure(closure: &MetricClosure, attempt: u64) -> MetricClosure {
-    closure.map_costs(|i, j, c| {
-        if c >= INFINITY || i == j {
-            c
-        } else {
-            c * PERTURB_SCALE + perturb_hash(attempt, i, j)
+/// The perturbation selects one stroll per attempt pseudo-randomly *among
+/// the true minimum-cost strolls*, so a handful of attempts finds one
+/// spanning `n` distinct switches whenever one exists. Unreachable edges
+/// are clamped to the sentinel, and they and the diagonal carry no hash.
+#[derive(Debug, Clone)]
+pub struct TieBrokenClosure {
+    m: usize,
+    keys: Vec<TieKey>,
+}
+
+impl TieBrokenClosure {
+    /// The tie-broken copy of `closure` for retry `attempt`.
+    pub fn new(closure: &MetricClosure, attempt: u64) -> Self {
+        let m = closure.len();
+        let mut keys = Vec::with_capacity(m * m);
+        for i in 0..m {
+            keys.extend(closure.row(i).iter().enumerate().map(|(j, &c)| {
+                if c >= INFINITY {
+                    TieKey::UNREACHABLE
+                } else if i == j {
+                    TieKey::new(c, 0)
+                } else {
+                    TieKey::new(c, perturb_hash(attempt, i, j))
+                }
+            }));
         }
-    })
+        TieBrokenClosure { m, keys }
+    }
+}
+
+impl StrollWeights for TieBrokenClosure {
+    type Key = TieKey;
+    fn node_count(&self) -> usize {
+        self.m
+    }
+    fn row(&self, u: usize) -> &[TieKey] {
+        &self.keys[u * self.m..(u + 1) * self.m]
+    }
 }
 
 /// Solves one n-stroll instance with Algorithm 2, retrying with
@@ -242,9 +412,9 @@ pub fn dp_stroll(inst: &StrollInstance<'_>) -> Result<StrollSolution, StrollErro
             let mut tables = DpTables::new(inst.closure(), inst.t_ix());
             dp_stroll_with_tables(inst, &mut tables)
         } else {
-            let pc = perturbed_closure(inst.closure(), attempt);
-            let mut tables = DpTables::new(&pc, inst.t_ix());
-            dp_stroll_on_closure(inst, &pc, &mut tables)
+            let tb = TieBrokenClosure::new(inst.closure(), attempt);
+            let mut tables = DpTables::new(&tb, inst.t_ix());
+            dp_stroll_on(inst, &tb, &mut tables)
         };
         match result {
             Ok(sol) => return Ok(sol),
@@ -262,16 +432,16 @@ pub fn dp_stroll_with_tables(
     inst: &StrollInstance<'_>,
     tables: &mut DpTables,
 ) -> Result<StrollSolution, StrollError> {
-    dp_stroll_on_closure(inst, inst.closure(), tables)
+    dp_stroll_on(inst, inst.closure(), tables)
 }
 
-/// Single-attempt solve where the DP grows over `grow_closure` (possibly a
-/// perturbed copy) while the solution is priced on the instance's original
-/// closure.
-fn dp_stroll_on_closure(
+/// Single-attempt solve where the DP grows over `weights` (the instance's
+/// closure or a tie-broken copy of it) while the solution is priced on the
+/// instance's original closure.
+fn dp_stroll_on<W: StrollWeights>(
     inst: &StrollInstance<'_>,
-    grow_closure: &MetricClosure,
-    tables: &mut DpTables,
+    weights: &W,
+    tables: &mut DpTables<W::Key>,
 ) -> Result<StrollSolution, StrollError> {
     assert_eq!(tables.target(), inst.t_ix(), "tables target mismatch");
     let n = inst.n();
@@ -290,7 +460,7 @@ fn dp_stroll_on_closure(
         if e > cap {
             return Err(StrollError::NoConvergence { max_edges: cap });
         }
-        tables.grow_to(grow_closure, e);
+        tables.grow_to(weights, e);
         if let Some(walk) = tables.reconstruct(inst.s_ix(), e) {
             if inst.distinct_of_walk(&walk).len() >= n {
                 return Ok(inst.solution_from_walk(walk));
@@ -301,7 +471,7 @@ fn dp_stroll_on_closure(
 }
 
 /// Reusable scratch state for solving many stroll instances that share one
-/// target: the unperturbed [`DpTables`] plus the lazily-built perturbed
+/// target: the unperturbed [`DpTables`] plus the lazily-built tie-broken
 /// retries. [`DpBatchSolver::reset`] re-targets everything without giving
 /// the arena allocations back, so Algorithm 3 can sweep hundreds of
 /// egresses through one solver with zero steady-state allocation — and its
@@ -310,9 +480,9 @@ fn dp_stroll_on_closure(
 #[derive(Debug, Clone, Default)]
 pub struct DpBatchSolver {
     tables: DpTables,
-    /// `(perturbed closure, its tables)` for attempts `1..MAX_ATTEMPTS`,
+    /// `(tie-broken closure, its tables)` for attempts `1..MAX_ATTEMPTS`,
     /// built on first need and only valid for the current `reset` target.
-    retries: Vec<(MetricClosure, DpTables)>,
+    retries: Vec<(TieBrokenClosure, DpTables<TieKey>)>,
 }
 
 impl DpBatchSolver {
@@ -323,7 +493,7 @@ impl DpBatchSolver {
     }
 
     /// Re-targets the solver at closure-index `t` of `closure`, keeping
-    /// allocations. Drops any perturbed retries (they are keyed to the old
+    /// allocations. Drops any tie-broken retries (they are keyed to the old
     /// target and closure).
     pub fn reset(&mut self, closure: &MetricClosure, t: usize) {
         self.tables.reset(closure, t);
@@ -332,7 +502,7 @@ impl DpBatchSolver {
 
     /// Solves the n-stroll from source closure-index `s` to the target set
     /// by the last [`DpBatchSolver::reset`], sharing tables with every
-    /// other source of that target (attempt 0 unperturbed, perturbed
+    /// other source of that target (attempt 0 unperturbed, tie-broken
     /// retries lazily).
     ///
     /// # Errors
@@ -346,7 +516,7 @@ impl DpBatchSolver {
     ) -> Result<StrollSolution, StrollError> {
         let t = self.tables.target();
         let inst = StrollInstance::new_unvalidated(closure, closure.node(s), closure.node(t), n)?;
-        match dp_stroll_on_closure(&inst, closure, &mut self.tables) {
+        match dp_stroll_on(&inst, closure, &mut self.tables) {
             Ok(sol) => Ok(sol),
             Err(StrollError::NoConvergence { .. }) => {
                 let mut last = StrollError::NoConvergence {
@@ -355,12 +525,12 @@ impl DpBatchSolver {
                 for attempt in 1..MAX_ATTEMPTS {
                     let idx = (attempt - 1) as usize; // analyzer:allow(lossy-cast) -- attempt < MAX_ATTEMPTS = 8, fits usize
                     if self.retries.len() <= idx {
-                        let pc = perturbed_closure(closure, attempt);
-                        let tb = DpTables::new(&pc, t);
-                        self.retries.push((pc, tb));
+                        let tb = TieBrokenClosure::new(closure, attempt);
+                        let tables = DpTables::new(&tb, t);
+                        self.retries.push((tb, tables));
                     }
-                    let (pc, tb) = &mut self.retries[idx];
-                    match dp_stroll_on_closure(&inst, pc, tb) {
+                    let (tb, tables) = &mut self.retries[idx];
+                    match dp_stroll_on(&inst, tb, tables) {
                         Ok(sol) => return Ok(sol),
                         Err(e @ StrollError::NoConvergence { .. }) => last = e,
                         Err(e) => return Err(e),
@@ -397,7 +567,7 @@ pub fn dp_stroll_all_sources(
 mod tests {
     use super::*;
     use ppdc_topology::builders::linear;
-    use ppdc_topology::{DistanceMatrix, Graph, MetricClosure, NodeId};
+    use ppdc_topology::{DistanceMatrix, Graph, MetricClosure, NodeId, NodeKind};
 
     /// The paper's Fig. 4(a): nodes s, A, B, C, D, t. Weights chosen so the
     /// optimal 2-stroll is the *walk* s, D, t, C, t of cost 6 while the
@@ -596,20 +766,190 @@ mod tests {
     }
 
     #[test]
+    fn tie_key_sentinel_is_the_cost_sentinel() {
+        assert_eq!(TieKey::UNREACHABLE, TieKey::new(INFINITY, 0));
+        assert!(TieKey::new(INFINITY - 1, PERTURB_MASK * 64) < TieKey::UNREACHABLE);
+    }
+
+    #[test]
     fn perturbation_preserves_true_costs() {
-        // Perturbed closures must never reorder strolls of different true
-        // cost: scaled-down perturbed costs round back to the originals.
+        // Tie-broken keys must never reorder strolls of different true
+        // cost: every key's cost half is the original closure cost.
         let (g, nodes) = fig4();
         let mc = closure_of(&g);
-        let pc = perturbed_closure(&mc, 3);
+        let tb = TieBrokenClosure::new(&mc, 3);
         for i in 0..mc.len() {
             for j in 0..mc.len() {
-                if i != j {
-                    assert_eq!(pc.cost_ix(i, j) >> 20, mc.cost_ix(i, j));
-                }
+                assert_eq!(tb.row(i)[j].0 >> 64, u128::from(mc.cost_ix(i, j)));
             }
         }
         let _ = nodes;
+    }
+
+    /// The scalar level loop the masked kernel replaced, kept as its
+    /// reference: per-pair exclusion branches and a strict-improvement
+    /// scan, generic over the key like the kernel.
+    fn extend_reference<K: StrollKey, W: StrollWeights<Key = K>>(
+        tables: &mut DpTables<K>,
+        weights: &W,
+    ) {
+        let m = tables.m;
+        let filled = tables.levels * m;
+        tables.cost.resize(filled + m, K::UNREACHABLE);
+        tables.succ.resize(filled + m, NO_SUCC);
+        let (prev_c, cur_c) = tables.cost.split_at_mut(filled);
+        let prev_c = &prev_c[filled - m..];
+        let (prev_s, cur_s) = tables.succ.split_at_mut(filled);
+        let prev_s = &prev_s[filled - m..];
+        for u in 0..m {
+            let mut best = K::UNREACHABLE;
+            let mut best_v = NO_SUCC;
+            for v in 0..m {
+                if v == u || v == tables.t || prev_s[v] == u {
+                    continue;
+                }
+                if prev_c[v] >= K::UNREACHABLE {
+                    continue;
+                }
+                let cand = weights.row(u)[v].plus(prev_c[v]);
+                if cand < best {
+                    best = cand;
+                    best_v = v;
+                }
+            }
+            cur_c[u] = best;
+            cur_s[u] = best_v;
+        }
+        tables.levels += 1;
+    }
+
+    /// Grows kernel and reference tables side by side over `weights` and
+    /// checks both arrays level by level, 2 through 8.
+    fn assert_kernel_matches_reference<K: StrollKey, W: StrollWeights<Key = K>>(
+        weights: &W,
+        t: usize,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut kernel = DpTables::new(weights, t);
+        let mut reference = DpTables::new(weights, t);
+        for level in 2..=8 {
+            kernel.grow_to(weights, level);
+            extend_reference(&mut reference, weights);
+            proptest::prop_assert_eq!(&kernel.cost, &reference.cost, "cost, level {}", level);
+            proptest::prop_assert_eq!(&kernel.succ, &reference.succ, "succ, level {}", level);
+        }
+        Ok(())
+    }
+
+    /// A closure over `m` nodes whose costs come from `seed`: mostly small
+    /// (so ties abound), with some unreachable and some near-sentinel
+    /// entries to exercise saturation.
+    fn random_closure(m: usize, seed: u64) -> MetricClosure {
+        use rand::{Rng, SeedableRng};
+        let (g, _, _) = linear(m - 2).unwrap();
+        let base = closure_of(&g);
+        assert_eq!(base.len(), m);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let draws: Vec<Cost> = (0..m * m)
+            .map(|_| match rng.gen_range(0u32..20) {
+                0 => INFINITY,
+                1 => INFINITY - rng.gen_range(1u64..4),
+                _ => rng.gen_range(0u64..12),
+            })
+            .collect();
+        base.map_costs(|i, j, _| if i == j { 0 } else { draws[i * m + j] })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::env_or(64))]
+
+        /// The masked kernel equals the scalar reference bit for bit, cost
+        /// and successor arrays alike, on plain and tie-broken weights.
+        #[test]
+        fn masked_kernel_equals_scalar_reference(
+            m in 3usize..14,
+            seed in proptest::arbitrary::any::<u64>(),
+            t_pick in proptest::arbitrary::any::<u64>(),
+            attempt in 1u64..MAX_ATTEMPTS,
+        ) {
+            let mc = random_closure(m, seed);
+            let t = usize::try_from(t_pick % m as u64).unwrap();
+            assert_kernel_matches_reference(&mc, t)?;
+            assert_kernel_matches_reference(&TieBrokenClosure::new(&mc, attempt), t)?;
+        }
+
+        /// On costs small enough for the old `cost·2²⁰ + hash` packing, the
+        /// tie-broken key picks exactly the successors that packing did.
+        #[test]
+        fn tie_key_orders_like_the_scaled_packing(
+            m in 3usize..14,
+            seed in proptest::arbitrary::any::<u64>(),
+            attempt in 1u64..MAX_ATTEMPTS,
+        ) {
+            // Near-sentinel draws would overflow the packing: make them
+            // unreachable instead.
+            let mc = random_closure(m, seed).map_costs(|_, _, c| if c < 12 { c } else { INFINITY });
+            let packed = mc.map_costs(|i, j, c| {
+                if c >= INFINITY || i == j {
+                    c
+                } else {
+                    (c << 20) + perturb_hash(attempt, i, j)
+                }
+            });
+            let tb = TieBrokenClosure::new(&mc, attempt);
+            let mut new = DpTables::new(&tb, 0);
+            let mut old = DpTables::new(&packed, 0);
+            new.grow_to(&tb, 8);
+            old.grow_to(&packed, 8);
+            proptest::prop_assert_eq!(&new.succ, &old.succ);
+        }
+    }
+
+    /// `fat_tree(8)` with every link weight multiplied by `scale`, and the
+    /// closure over two far-apart hosts plus every switch.
+    fn scaled_fat_tree_closure(scale: Cost) -> (MetricClosure, NodeId, NodeId) {
+        let g = ppdc_topology::builders::fat_tree(8).unwrap();
+        let mut scaled = Graph::new();
+        for v in g.nodes() {
+            let id = match g.kind(v) {
+                NodeKind::Switch => scaled.add_switch(g.label(v)),
+                NodeKind::Host => scaled.add_host(g.label(v)),
+            };
+            assert_eq!(id, v);
+        }
+        for (u, v, w) in g.edges() {
+            scaled.add_edge(u, v, w * scale).unwrap();
+        }
+        let dm = DistanceMatrix::build(&scaled);
+        let hosts: Vec<NodeId> = scaled.hosts().collect();
+        let mut members = vec![hosts[0], hosts[77]];
+        members.extend(scaled.switches());
+        (MetricClosure::over(&dm, &members), hosts[0], hosts[77])
+    }
+
+    #[test]
+    fn tie_break_is_scale_invariant_on_heavy_fabrics() {
+        // Regression: the old tie-break scaled costs by 2²⁰ before adding
+        // hashes, so at ×2⁴⁰ finite strolls crossed INFINITY (and the
+        // solve gave up), and at ×2⁴⁴ the scaling overflowed. The key now
+        // keeps the true cost whole: any uniform scale picks the same walk.
+        let (base, s, t) = scaled_fat_tree_closure(1);
+        let base_sols: Vec<StrollSolution> = [9usize, 11, 13]
+            .iter()
+            .map(|&n| dp_stroll(&StrollInstance::new(&base, s, t, n).unwrap()).unwrap())
+            .collect();
+        for (sol, want) in base_sols.iter().zip([10, 12, 14]) {
+            assert_eq!(sol.cost, want);
+        }
+        for scale in [1u64 << 30, 1 << 40, 1 << 44] {
+            let (mc, s, t) = scaled_fat_tree_closure(scale);
+            for (&n, want) in [9usize, 11, 13].iter().zip(&base_sols) {
+                let inst = StrollInstance::new(&mc, s, t, n).unwrap();
+                let sol = dp_stroll(&inst).unwrap();
+                sol.validate(&inst).unwrap();
+                assert_eq!(sol.walk, want.walk, "scale {scale}, n={n}");
+                assert_eq!(sol.cost, want.cost * scale, "scale {scale}, n={n}");
+            }
+        }
     }
 
     #[test]

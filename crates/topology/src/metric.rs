@@ -96,6 +96,14 @@ impl MetricClosure {
         self.cost[i * self.nodes.len() + j]
     }
 
+    /// Row `i` of the cost matrix: `row(i)[j] == cost_ix(i, j)`. The stroll
+    /// DP's level kernel streams whole rows through this slice.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[Cost] {
+        let m = self.nodes.len();
+        &self.cost[i * m..(i + 1) * m]
+    }
+
     /// Cost between original node ids `u` and `v` (both must be members).
     pub fn cost(&self, u: NodeId, v: NodeId) -> Cost {
         match (self.index(u), self.index(v)) {
